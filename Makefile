@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build check test vet race race-full fuzz bench bench-obs bench-stream bench-json bench-json-smoke check-stream check-perf check-zoo check-obs serve check-serve check-dist check-vlt2 verify clean
+.PHONY: all build check test vet race race-full fuzz bench bench-obs bench-stream check-bench check-stream check-perf check-zoo check-obs serve check-serve check-dist check-vlt2 verify clean
 
 all: build
 
@@ -26,7 +26,7 @@ vet:
 		echo "gofmt needed on:"; echo "$$fmt_out"; exit 1; \
 	fi
 
-check: build vet test race check-perf check-zoo check-obs check-dist check-vlt2
+check: build vet test race check-perf check-zoo check-obs check-dist check-vlt2 check-bench
 
 # Race-detector pass over every package. -short skips the golden
 # double-render (TestGoldenSerialVsParallel), which the detector slows by an
@@ -63,22 +63,18 @@ bench-obs:
 
 # Streaming-layer benchmarks: record-at-a-time decode/encode vs the
 # whole-trace codec, batched vs per-record decode (StreamDecodeBatch vs
-# StreamDecode), and the fused gen→annotate→sim cell on both interface
-# chains (StreamFusedBatch vs StreamFusedPerRecord).
+# StreamDecode), and the gen→annotate→sim cell streamed vs in memory
+# (StreamPipeline vs MemPipeline).
 bench-stream:
 	$(GO) test -run xxx -bench 'Stream|MemDecode|MemEncode|MemPipeline' -benchtime 1s ./internal/trace/ ./internal/exp/
 
-# Benchmark-trajectory grid (see PERFORMANCE.md): the full run refreshes the
-# checked-in BENCH_PR10.json baseline; the smoke run is the CI sizing that
-# uploads an informational artifact and logs >20% ratio drift against the
-# checked-in snapshot without gating (ratios divide two cells measured on
-# the same machine, so they survive host-speed differences that raw ns/rec
-# numbers don't).
-bench-json:
-	$(GO) run ./cmd/lvpbench -out BENCH_PR10.json
-
-bench-json-smoke:
-	$(GO) run ./cmd/lvpbench -smoke -out bench-smoke.json -compare BENCH_PR10.json
+# Repo-benchmark self-test (see perfbench/README.md), run standalone
+# (uncached): every workload at tiny size, its metric names and units
+# against BENCHMARK.json, and a perturbed output digest that must fail.
+# perfbench is its own module, so `go test ./...` never compiles it; this is
+# the gate that builds it against the APIs it calls.
+check-bench:
+	cd perfbench && $(GO) test -count=1 .
 
 # Streaming memory/identity gate, run standalone (uncached): the
 # allocation-regression tests (0 allocs/record on the Reader/Writer/LVP hot
@@ -91,10 +87,10 @@ check-stream:
 # Hot-path identity and allocation gates, run standalone (uncached): the
 # randomized CVU differential against the linear-scan reference (states,
 # stats, and eviction victims must be decision-identical), the batched
-# decode/annotate differentials, and the 0-allocs/record gates on the
-# steady-state CVU and batch paths.
+# decode/annotate differentials, the SlabReader span/batch contract, and the
+# 0-allocs/record gates on the steady-state CVU and batch paths.
 check-perf:
-	$(GO) test -count=1 -run 'TestCVUDifferential|TestCVUInvalidateAddrBoundaries|TestCVUInsertRefresh|TestCVUOpsAllocFree|NextBatch|TestPump|TestRecordBatch' ./internal/lvp/ ./internal/trace/ ./internal/vm/
+	$(GO) test -count=1 -run 'TestCVUDifferential|TestCVUInvalidateAddrBoundaries|TestCVUInsertRefresh|TestCVUOpsAllocFree|NextBatch|TestSlabReader|TestRecordBatch' ./internal/lvp/ ./internal/trace/ ./internal/vm/
 
 # Predictor-zoo gate, run standalone (uncached): the randomized two-level
 # differential against the map-based reference (predictions, confidence

@@ -87,22 +87,10 @@ func main() {
 		return
 	}
 
-	want := map[string]bool{}
-	switch *expFlag {
-	case "all":
-		for _, e := range experiments {
-			want[e.Name] = true
-		}
-	case "paper":
-		for _, e := range experiments {
-			if e.Paper {
-				want[e.Name] = true
-			}
-		}
-	default:
-		for _, name := range strings.Split(*expFlag, ",") {
-			want[strings.TrimSpace(name)] = true
-		}
+	selected, err := selectExperiments(*expFlag, experiments)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "lvpsim: %v\n", err)
+		os.Exit(2)
 	}
 
 	s := exp.NewSuiteParallel(*scale, *parallel)
@@ -162,11 +150,7 @@ func main() {
 		stopProgress = startProgress(s, start)
 	}
 
-	ran := 0
-	for _, e := range experiments {
-		if !want[e.Name] {
-			continue
-		}
+	for _, e := range selected {
 		expStart := time.Now()
 		ectx, endExp := obs.StartSpan(ctx, "exp", slog.String("name", e.Name))
 		err := e.Run(s.WithContext(ectx), os.Stdout)
@@ -184,24 +168,14 @@ func main() {
 		if *timing {
 			fmt.Fprintf(os.Stderr, "[%s: %v]\n", e.Name, time.Since(expStart).Round(time.Millisecond))
 		}
-		ran++
-		delete(want, e.Name)
 	}
 	stopProgress()
-	for name := range want {
-		fmt.Fprintf(os.Stderr, "lvpsim: unknown experiment %q (use -list)\n", name)
-		os.Exit(2)
-	}
-	if ran == 0 {
-		fmt.Fprintln(os.Stderr, "lvpsim: nothing to run (use -list)")
-		os.Exit(2)
-	}
 
 	// Always report run totals, so long runs end with a measurement even
 	// without -progress or -metrics.
 	traces, anns, sims := cellCounts(s)
 	fmt.Fprintf(os.Stderr, "lvpsim: %d experiments, %d cells (%d traces, %d annotations, %d simulations) in %v\n",
-		ran, traces+anns+sims, traces, anns, sims, time.Since(start).Round(time.Millisecond))
+		len(selected), traces+anns+sims, traces, anns, sims, time.Since(start).Round(time.Millisecond))
 
 	if *metrics != "" {
 		s.FinalizeMetrics()
@@ -220,6 +194,38 @@ func main() {
 			os.Exit(1)
 		}
 	}
+}
+
+// selectExperiments resolves an -exp value — "all", "paper", or a
+// comma-separated list of names — into the experiments to run, in registry
+// order. An unknown name fails the whole selection, so nothing runs.
+func selectExperiments(spec string, all []exp.Experiment) ([]exp.Experiment, error) {
+	want := map[string]bool{}
+	switch spec {
+	case "all", "paper":
+		for _, e := range all {
+			want[e.Name] = spec == "all" || e.Paper
+		}
+	default:
+		known := map[string]bool{}
+		for _, e := range all {
+			known[e.Name] = true
+		}
+		for _, name := range strings.Split(spec, ",") {
+			name = strings.TrimSpace(name)
+			if !known[name] {
+				return nil, fmt.Errorf("unknown experiment %q (use -list)", name)
+			}
+			want[name] = true
+		}
+	}
+	var out []exp.Experiment
+	for _, e := range all {
+		if want[e.Name] {
+			out = append(out, e)
+		}
+	}
+	return out, nil
 }
 
 // cellCounts reads the completed-build counters from the suite registry.

@@ -133,17 +133,7 @@ func execLatency(op isa.Op) int {
 // Simulate runs the annotated trace through the in-order model. ann may be
 // nil (no LVP hardware).
 func Simulate(tr *trace.Trace, ann trace.Annotation, cfg Config, lvpName string) Stats {
-	return SimulateObs(tr, ann, cfg, lvpName, nil)
-}
-
-// SimulateObs is Simulate with an event tracer: value-misprediction
-// squashes and cancelled predictions on the sim channel, L1 misses on the
-// cache channel. obsTr == nil is exactly Simulate.
-//
-// It is a thin wrapper over SimulateSourceObs on an in-memory slice source,
-// so the in-memory and streaming paths share one cycle-level core.
-func SimulateObs(tr *trace.Trace, ann trace.Annotation, cfg Config, lvpName string, obsTr *obs.Tracer) Stats {
-	st, err := SimulateSourceObs(tr.StreamAnnotated(ann), cfg, lvpName, obsTr)
+	st, err := SimulateSource(tr.StreamAnnotated(ann), cfg, lvpName)
 	if err != nil {
 		// A slice source cannot fail.
 		panic("axp21164: in-memory simulation failed: " + err.Error())
@@ -159,7 +149,9 @@ func SimulateSource(src trace.AnnotatedSource, cfg Config, lvpName string) (Stat
 	return SimulateSourceObs(src, cfg, lvpName, nil)
 }
 
-// SimulateSourceObs is SimulateSource with an event tracer.
+// SimulateSourceObs is SimulateSource with an event tracer: value-misprediction
+// squashes and cancelled predictions on the sim channel, L1 misses on the
+// cache channel; obsTr == nil is exactly SimulateSource.
 func SimulateSourceObs(src trace.AnnotatedSource, cfg Config, lvpName string, obsTr *obs.Tracer) (Stats, error) {
 	hier := &cache.Hierarchy{
 		L1:        cache.MustNew(cfg.L1),
@@ -169,9 +161,9 @@ func SimulateSourceObs(src trace.AnnotatedSource, cfg Config, lvpName string, ob
 	}
 	bp := bpred.New(bpred.Default21164)
 	st := Stats{Machine: cfg.Name, LVPConfig: lvpName}
-	// The slab reader turns any upstream — span-capable, batch-capable, or
-	// per-record — into slabs of records, so the in-order issue loop runs
-	// over plain slices instead of the per-record interface chain.
+	// The slab reader turns any upstream — zero-copy spans or batch
+	// refills — into slabs of records, so the in-order issue loop runs over
+	// plain slices instead of the per-record interface chain.
 	slab := trace.NewSlabReader(src)
 
 	var readyG, readyF [isa.NumRegs]int

@@ -64,7 +64,7 @@ func TestGrepCountMatchesGo(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tg := range prog.Targets {
-		want := uint64(countOverlapping(GrepText(tg, 1), []byte(GrepPattern)))
+		want := uint64(countOverlapping(grepText(tg, 1), []byte(GrepPattern)))
 		p, err := bm.Build(tg, 1)
 		if err != nil {
 			t.Fatalf("build: %v", err)

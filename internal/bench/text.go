@@ -50,9 +50,9 @@ var grepWords = []string{
 	"affix", "banner", "gulch", "ivy", "dwell", "echo",
 }
 
-// GrepText regenerates the grep input for a target and scale (for test
+// grepText regenerates the grep input for a target and scale (for test
 // cross-checks).
-func GrepText(t prog.Target, scale int) []byte {
+func grepText(t prog.Target, scale int) []byte {
 	r := newRNG(101 + targetSalt(t.Name))
 	n := grepTextSize * clampScale(scale)
 	out := make([]byte, 0, n+16)
@@ -112,7 +112,7 @@ func grepDFA() []byte {
 func buildGrep(t prog.Target, scale int) (*prog.Program, error) {
 	scale = clampScale(scale)
 	b := prog.New("grep", t)
-	text := GrepText(t, scale)
+	text := grepText(t, scale)
 	b.Bytes("text", text)
 	b.Bytes("pattern", []byte(GrepPattern))
 	b.Bytes("dfa", grepDFA())

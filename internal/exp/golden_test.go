@@ -31,10 +31,15 @@ func goldenExperiments() []Experiment {
 }
 
 // renderAll runs the golden experiment set on a fresh suite with the given
-// worker count and returns one rendered buffer per experiment.
+// worker count and returns one rendered buffer per experiment. On the full
+// set it also checks that every simulation the experiments need ran once
+// through the suite's timed cells: 170 paper 620/620+ cells, 68 more
+// resource-sweep variants and 34 uncached GVP cells; 68 paper 21164 cells
+// and 34 MAF-ablation cells.
 func renderAll(t *testing.T, workers int) map[string][]byte {
 	t.Helper()
 	s := NewSuiteParallel(1, workers)
+
 	out := make(map[string][]byte, len(experiments))
 	for _, e := range goldenExperiments() {
 		var buf bytes.Buffer
@@ -42,6 +47,13 @@ func renderAll(t *testing.T, workers int) map[string][]byte {
 			t.Fatalf("workers=%d: %s: %v", workers, e.Name, err)
 		}
 		out[e.Name] = buf.Bytes()
+	}
+	if !raceEnabled {
+		for c, want := range map[string]int64{"progress.sim620": 272, "progress.sim21164": 102} {
+			if got := s.Metrics.Counter(c).Value(); got != want {
+				t.Errorf("workers=%d: %s = %d, want %d", workers, c, got, want)
+			}
+		}
 	}
 	return out
 }

@@ -51,12 +51,20 @@ func (s *Suite) GVPStudy() (*GVPResult, error) {
 		if err != nil {
 			return err
 		}
-		gvpSimple := ppc620.Simulate(t, gvpAnn, ppc620.Config620(), "GVP-Simple")
+		// General annotations come from AnnotateGeneral, outside the
+		// annotation cache, so these two cells are timed but not cached.
+		gvpSimple, err := s.run620(b.Name, t.StreamAnnotated(gvpAnn), ppc620.Config620(), "GVP-Simple")
+		if err != nil {
+			return err
+		}
 		perfAnn, _, err := lvp.AnnotateGeneral(t, lvp.Perfect)
 		if err != nil {
 			return err
 		}
-		gvpPerfect := ppc620.Simulate(t, perfAnn, ppc620.Config620(), "GVP-Perfect")
+		gvpPerfect, err := s.run620(b.Name, t.StreamAnnotated(perfAnn), ppc620.Config620(), "GVP-Perfect")
+		if err != nil {
+			return err
+		}
 		res.Rows[i] = GVPRow{
 			Name:       b.Name,
 			LVPSimple:  float64(base.Cycles) / float64(lvpSimple.Cycles),

@@ -6,7 +6,6 @@ import (
 	"lvp/internal/axp21164"
 	"lvp/internal/bench"
 	"lvp/internal/lvp"
-	"lvp/internal/prog"
 	"lvp/internal/report"
 	"lvp/internal/stats"
 )
@@ -37,23 +36,29 @@ type MAFResult struct {
 func (s *Suite) MAFAblation() (*MAFResult, error) {
 	res := &MAFResult{Rows: make([]MAFRow, len(bench.All()))}
 	err := s.forEachBenchIdx(func(i int, b bench.Benchmark) error {
-		t, err := s.Trace(b.Name, prog.AXP)
-		if err != nil {
-			return err
-		}
-		ann, _, err := s.Annotation(b.Name, prog.AXP, lvp.Simple)
-		if err != nil {
-			return err
-		}
 		blocking := axp21164.Config21164()
 		nonblocking := axp21164.Config21164()
 		nonblocking.Name = "21164+MAF"
 		nonblocking.NonBlocking = true
 
-		bBase := axp21164.Simulate(t, nil, blocking, "")
-		bLVP := axp21164.Simulate(t, ann, blocking, "Simple")
-		nBase := axp21164.Simulate(t, nil, nonblocking, "")
-		nLVP := axp21164.Simulate(t, ann, nonblocking, "Simple")
+		// The blocking machine is the paper's 21164, so bBase and bLVP
+		// are fig6/table6's cache entries.
+		bBase, err := s.sim21164(b.Name, blocking, nil)
+		if err != nil {
+			return err
+		}
+		bLVP, err := s.sim21164(b.Name, blocking, &lvp.Simple)
+		if err != nil {
+			return err
+		}
+		nBase, err := s.sim21164(b.Name, nonblocking, nil)
+		if err != nil {
+			return err
+		}
+		nLVP, err := s.sim21164(b.Name, nonblocking, &lvp.Simple)
+		if err != nil {
+			return err
+		}
 		res.Rows[i] = MAFRow{
 			Name:               b.Name,
 			BlockingIPC:        bBase.IPC(),

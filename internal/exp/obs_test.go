@@ -7,8 +7,10 @@ import (
 	"sync"
 	"testing"
 
+	"lvp/internal/bench"
 	"lvp/internal/lvp"
 	"lvp/internal/obs"
+	"lvp/internal/par"
 	"lvp/internal/prog"
 )
 
@@ -150,5 +152,61 @@ func TestNilMetricsSuite(t *testing.T) {
 	}
 	if cs := s.CacheStats(); cs.Annotations.Builds() != 1 {
 		t.Errorf("annotation builds = %d, want 1", cs.Annotations.Builds())
+	}
+}
+
+// TestAblationCellsShareSuiteCache pins the one simulation entry per
+// machine model: resourcesweep and mafablation run through the suite's
+// cached cells, so their variants that equal a paper machine — base 620 and
+// 620+ without LVP, 21164 without LVP and with Simple — are cache hits on
+// the cells fig6/table6 already built, and only the genuinely new variants
+// simulate (each counted once on progress.sim620/sim21164).
+func TestAblationCellsShareSuiteCache(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs four whole-suite experiments; skipped in -short")
+	}
+	s := NewSuite(1)
+	if _, err := s.Figure6(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Table6(); err != nil {
+		t.Fatal(err)
+	}
+	nb := int64(len(bench.All()))
+	check := func(when string, got par.CacheStats, before par.CacheStats, gets, hits int64) {
+		t.Helper()
+		if d := got.Gets - before.Gets; d != gets*nb {
+			t.Errorf("%s: gets +%d, want +%d", when, d, gets*nb)
+		}
+		if d := got.Hits - before.Hits; d != hits*nb {
+			t.Errorf("%s: hits +%d, want +%d", when, d, hits*nb)
+		}
+		if d := int64(got.Entries - before.Entries); d != (gets-hits)*nb {
+			t.Errorf("%s: entries +%d, want +%d", when, d, (gets-hits)*nb)
+		}
+	}
+	progress := func() (int64, int64) {
+		return s.Metrics.Counter("progress.sim620").Value(), s.Metrics.Counter("progress.sim21164").Value()
+	}
+
+	before := s.CacheStats()
+	p620, p164 := progress()
+	if _, err := s.ResourceSweep(); err != nil {
+		t.Fatal(err)
+	}
+	// Six variants per benchmark; base 620 and 620+ are hits.
+	check("resourcesweep", s.CacheStats().Sims620, before.Sims620, 6, 2)
+	if got, _ := progress(); got-p620 != 4*nb {
+		t.Errorf("resourcesweep: progress.sim620 +%d, want +%d", got-p620, 4*nb)
+	}
+
+	before = s.CacheStats()
+	if _, err := s.MAFAblation(); err != nil {
+		t.Fatal(err)
+	}
+	// Four cells per benchmark; the blocking (paper) pair are hits.
+	check("mafablation", s.CacheStats().Sims21164, before.Sims21164, 4, 2)
+	if _, got := progress(); got-p164 != 2*nb {
+		t.Errorf("mafablation: progress.sim21164 +%d, want +%d", got-p164, 2*nb)
 	}
 }

@@ -5,7 +5,6 @@ import (
 
 	"lvp/internal/bench"
 	"lvp/internal/ppc620"
-	"lvp/internal/prog"
 	"lvp/internal/report"
 	"lvp/internal/stats"
 )
@@ -65,15 +64,16 @@ func (s *Suite) ResourceSweep() (*ResourceResult, error) {
 		speedups[vi] = make([]float64, len(bench.All()))
 	}
 	err := s.forEachBenchIdx(func(bi int, b bench.Benchmark) error {
-		t, err := s.Trace(b.Name, prog.PPC)
-		if err != nil {
-			return err
-		}
 		base := 0
 		for vi, v := range variants {
 			cfg := ppc620.Config620()
 			v.apply(&cfg)
-			st := ppc620.Simulate(t, nil, cfg, "")
+			// The base and 620+ variants equal the paper machines, so
+			// their cells are fig6/table6's cache entries.
+			st, err := s.sim620(b.Name, cfg, nil)
+			if err != nil {
+				return err
+			}
 			if vi == 0 {
 				base = st.Cycles
 			}

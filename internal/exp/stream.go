@@ -2,79 +2,55 @@ package exp
 
 import (
 	"fmt"
-	"io"
-	"log/slog"
-	"time"
 
-	"lvp/internal/axp21164"
 	"lvp/internal/bench"
 	"lvp/internal/lvp"
-	"lvp/internal/obs"
-	"lvp/internal/ppc620"
 	"lvp/internal/prog"
 	"lvp/internal/trace"
 	"lvp/internal/vm"
 )
 
-// Streaming cells: the full gen → annotate → sim pipeline for one benchmark
-// cell runs as a single pull-driven pass, so memory is bounded by the
-// machine model's window instead of the trace length. The streaming and
-// in-memory paths share every stage's implementation (vm.Source behind
-// vm.Run, lvp.Annotator behind lvp.Annotate, the models' Source cores behind
-// Simulate), so their stats are identical — the differential tests in this
-// package enforce that on every workload.
+// Streaming cells: with Suite.Stream set, a simulation cell's source is the
+// full gen → annotate front half run as a single pull-driven pass, so memory
+// is bounded by the machine model's window instead of the trace length. The
+// streaming and in-memory sources share every stage's implementation
+// (vm.Source behind vm.Run, lvp.Annotator behind lvp.Annotate), and both
+// feed the same timed simulation core, so their stats are identical — the
+// differential tests in this package enforce that on every workload.
 //
 // Streamed cells bypass the trace/annotation caches by construction (there
 // is no materialized trace to share); the per-machine stats caches still
-// memoize the final result. Record throughput is reported on the
-// trace.stream.records counter and completed cells on trace.stream.cells.
+// memoize the final result. Completed cells are counted on
+// trace.stream.cells and their records on trace.stream.records.
 
-// meteredSource counts records flowing out of a source, flushing the count
-// into the registry counter when the stream drains (one atomic add per
-// cell, keeping the per-record path free of shared-counter traffic).
-type meteredSource struct {
-	src trace.Source
-	n   int64
-	c   *obs.Counter
-}
-
-func (m *meteredSource) Next() (*trace.Record, error) {
-	r, err := m.src.Next()
-	if err == nil {
-		m.n++
-	} else if err == io.EOF {
-		m.c.Add(m.n)
-		m.n = 0
+// cellSource picks the annotated record stream fed to one simulation cell:
+// with Stream set a fresh gen → annotate pipeline (see streamSource),
+// otherwise the cached trace paired with its cached annotation (cfg == nil
+// means no LVP hardware).
+func (s *Suite) cellSource(name string, target prog.Target, cfg *lvp.Config) (trace.AnnotatedSource, error) {
+	if s.Stream {
+		return s.streamSource(name, target, cfg)
 	}
-	return r, err
-}
-
-// meteredBatchSource is meteredSource over a batch-capable inner source:
-// one count update per batch, flushed on EOF exactly like the per-record
-// form, so the batched pipeline keeps its telemetry without touching the
-// shared counter per record.
-type meteredBatchSource struct {
-	meteredSource
-	bs trace.BatchSource
-}
-
-func (m *meteredBatchSource) NextBatch(buf []trace.Record) (int, error) {
-	n, err := m.bs.NextBatch(buf)
-	m.n += int64(n)
-	if err == io.EOF || (err == nil && n == 0) {
-		m.c.Add(m.n)
-		m.n = 0
+	t, err := s.Trace(name, target)
+	if err != nil {
+		return nil, err
 	}
-	return n, err
+	var ann trace.Annotation
+	if cfg != nil {
+		if ann, _, err = s.Annotation(name, target, *cfg); err != nil {
+			return nil, err
+		}
+	}
+	return t.StreamAnnotated(ann), nil
 }
 
-// meter wraps src with record counting, preserving batch capability.
-func meter(src trace.Source, c *obs.Counter) trace.Source {
-	ms := meteredSource{src: src, c: c}
-	if bs, ok := src.(trace.BatchSource); ok {
-		return &meteredBatchSource{ms, bs}
+// countStreamed records one completed cell of records records on the
+// trace.stream counters when the suite streams its cells.
+func (s *Suite) countStreamed(records int) {
+	if s.Stream {
+		s.Metrics.Counter("trace.stream.cells").Inc()
+		s.Metrics.Counter("trace.stream.records").Add(int64(records))
 	}
-	return &ms
 }
 
 // streamSource builds the gen → annotate front half of a streaming cell:
@@ -89,7 +65,7 @@ func (s *Suite) streamSource(name string, target prog.Target, cfg *lvp.Config) (
 	if err != nil {
 		return nil, fmt.Errorf("exp: building %s/%s: %w", name, target.Name, err)
 	}
-	src := meter(vm.NewSource(p, s.MaxSteps), s.Metrics.Counter("trace.stream.records"))
+	src := vm.NewSource(p, s.MaxSteps)
 	if cfg == nil {
 		return trace.NoLVP(src), nil
 	}
@@ -98,64 +74,4 @@ func (s *Suite) streamSource(name string, target prog.Target, cfg *lvp.Config) (
 		return nil, fmt.Errorf("exp: annotating %s/%s: %w", name, target.Name, err)
 	}
 	return pipe, nil
-}
-
-// StreamSim620 runs one benchmark cell gen → annotate → sim on the 620
-// (plus=false) or 620+ in bounded memory: no trace or annotation is ever
-// materialized. cfg == nil means no LVP hardware. Stats are identical to
-// Sim620's for the same cell.
-func (s *Suite) StreamSim620(name string, plus bool, cfg *lvp.Config) (ppc620.Stats, error) {
-	if err := s.context().Err(); err != nil {
-		return ppc620.Stats{}, err
-	}
-	src, err := s.streamSource(name, prog.PPC, cfg)
-	if err != nil {
-		return ppc620.Stats{}, err
-	}
-	mc := ppc620.Config620()
-	if plus {
-		mc = ppc620.Config620Plus()
-	}
-	cfgName := "none"
-	if cfg != nil {
-		cfgName = cfg.Name
-	}
-	start := time.Now()
-	st, err := ppc620.SimulateSourceObs(src, mc, cfgName, s.Tracer)
-	if err != nil {
-		return ppc620.Stats{}, fmt.Errorf("exp: streaming %s/%s: %w", name, mc.Name, err)
-	}
-	s.record620Stats(st)
-	s.Metrics.Counter("trace.stream.cells").Inc()
-	s.finishPhase("stream620", start,
-		slog.String("bench", name), slog.String("machine", mc.Name),
-		slog.String("config", cfgName))
-	return st, nil
-}
-
-// StreamSim21164 runs one benchmark cell gen → annotate → sim on the 21164
-// in bounded memory (nil cfg = no LVP hardware). Stats are identical to
-// Sim21164's for the same cell.
-func (s *Suite) StreamSim21164(name string, cfg *lvp.Config) (axp21164.Stats, error) {
-	if err := s.context().Err(); err != nil {
-		return axp21164.Stats{}, err
-	}
-	src, err := s.streamSource(name, prog.AXP, cfg)
-	if err != nil {
-		return axp21164.Stats{}, err
-	}
-	cfgName := "none"
-	if cfg != nil {
-		cfgName = cfg.Name
-	}
-	start := time.Now()
-	st, err := axp21164.SimulateSourceObs(src, axp21164.Config21164(), cfgName, s.Tracer)
-	if err != nil {
-		return axp21164.Stats{}, fmt.Errorf("exp: streaming %s/21164: %w", name, err)
-	}
-	s.record164Stats(st)
-	s.Metrics.Counter("trace.stream.cells").Inc()
-	s.finishPhase("stream21164", start,
-		slog.String("bench", name), slog.String("config", cfgName))
-	return st, nil
 }

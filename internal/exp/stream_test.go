@@ -7,7 +7,6 @@ import (
 
 	"lvp/internal/bench"
 	"lvp/internal/lvp"
-	"lvp/internal/ppc620"
 	"lvp/internal/prog"
 	"lvp/internal/trace"
 	"lvp/internal/vm"
@@ -142,29 +141,48 @@ func TestStreamDifferentialParallel(t *testing.T) {
 	runStreamDifferential(t, true)
 }
 
-// TestStreamCellsMetered pins the streaming telemetry: a streamed cell
-// must count its records on trace.stream.records and itself on
-// trace.stream.cells.
+// TestStreamCellsMetered pins the streaming telemetry: streamed cells
+// report under progress.sim620/sim21164 and phase.sim620/sim21164 like
+// in-memory ones, so the lvpsim exit summary and -progress line count
+// them, while trace.stream.cells counts each streamed cell once and
+// trace.stream.records its records.
 func TestStreamCellsMetered(t *testing.T) {
 	s := NewSuiteParallel(1, 1)
 	s.Stream = true
 	name := bench.All()[0].Name
-	if _, err := s.Sim21164(name, nil); err != nil {
+	cfg := lvp.Simple
+	var records int64
+	for _, plus := range []bool{false, true} {
+		st, err := s.Sim620(name, plus, &cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		records += int64(st.Instructions)
+	}
+	st, err := s.Sim21164(name, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Metrics.Counter("trace.stream.cells").Value(); got != 1 {
-		t.Fatalf("trace.stream.cells = %d, want 1", got)
-	}
-	recs := s.Metrics.Counter("trace.stream.records").Value()
-	if recs <= 0 {
-		t.Fatalf("trace.stream.records = %d, want > 0", recs)
-	}
-	// A cached re-request must not stream the cell again.
-	if _, err := s.Sim21164(name, nil); err != nil {
+	records += int64(st.Instructions)
+	// Cached re-requests simulate nothing new.
+	if _, err := s.Sim620(name, false, &cfg); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Metrics.Counter("trace.stream.cells").Value(); got != 1 {
-		t.Fatalf("trace.stream.cells after cached hit = %d, want 1", got)
+	for c, want := range map[string]int64{
+		"progress.sim620":      2,
+		"progress.sim21164":    1,
+		"trace.stream.cells":   3,
+		"trace.stream.records": records,
+	} {
+		if got := s.Metrics.Counter(c).Value(); got != want {
+			t.Errorf("%s = %d, want %d", c, got, want)
+		}
+	}
+	snap := s.Metrics.Snapshot()
+	for _, tm := range []string{"phase.sim620", "phase.sim21164"} {
+		if snap.Timers[tm].Count == 0 {
+			t.Errorf("timer %q missing: streamed cells must time under it", tm)
+		}
 	}
 }
 
@@ -187,55 +205,5 @@ func BenchmarkMemPipeline(b *testing.B) {
 		if _, err := s.Sim620(bench.All()[0].Name, false, &lvp.Simple); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// perRecordSource and perRecordAnnotated hide batch capability behind the
-// plain interfaces, reconstructing the PR-4 record-at-a-time pipeline so
-// the fused benchmarks can compare the two paths on identical work.
-type perRecordSource struct{ trace.Source }
-
-type perRecordAnnotated struct{ trace.AnnotatedSource }
-
-// fusedCell runs one gen → annotate → sim cell outside the suite caches;
-// perRecord forces every stage onto the record-at-a-time interfaces.
-func fusedCell(b *testing.B, perRecord bool) {
-	b.Helper()
-	bm := bench.All()[0]
-	p, err := bm.Build(prog.PPC, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var src trace.Source = vm.NewSource(p, 0)
-	if perRecord {
-		src = perRecordSource{src}
-	}
-	pipe, err := lvp.NewPipe(src, lvp.Simple, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var ann trace.AnnotatedSource = pipe
-	if perRecord {
-		ann = perRecordAnnotated{ann}
-	}
-	if _, err := ppc620.SimulateSource(ann, ppc620.Config620(), lvp.Simple.Name); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// BenchmarkStreamFusedBatch measures the fused gen → annotate → sim cell on
-// the batched path (vm.Source.NextBatch → Pipe.NextBatch → trace.Pump);
-// BenchmarkStreamFusedPerRecord is the identical cell forced onto the PR-4
-// per-record interface chain. Their ratio is the pipeline_batch_speedup
-// trajectory metric in BENCH_PR5.json.
-func BenchmarkStreamFusedBatch(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fusedCell(b, false)
-	}
-}
-
-func BenchmarkStreamFusedPerRecord(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fusedCell(b, true)
 	}
 }

@@ -56,15 +56,19 @@ type annKey struct {
 	cfg    lvp.Config
 }
 
+// sim620Key and sim164Key memoize simulation cells by benchmark, the full
+// machine Config (so an ablation variant equal to a paper machine shares
+// its cell) and the full LVP Config.
 type sim620Key struct {
 	name  string
-	plus  bool
+	mc    ppc620.Config
 	cfg   lvp.Config
 	noLVP bool
 }
 
 type sim164Key struct {
 	name  string
+	mc    axp21164.Config
 	cfg   lvp.Config
 	noLVP bool
 }
@@ -94,12 +98,12 @@ type Suite struct {
 	// GOMAXPROCS-derived default. 1 runs serially. Output is
 	// byte-identical for every value.
 	Workers int
-	// Stream routes machine-simulation cells through the streaming
-	// pipeline (gen → annotate → sim in one pass, bounded memory, no
-	// trace materialization) instead of the cached in-memory path. Stats
-	// are identical either way; only the memory profile differs.
-	// Experiments that need a materialized trace (locality, annotation
-	// tables) are unaffected.
+	// Stream feeds machine-simulation cells from the streaming pipeline
+	// (gen → annotate → sim in one pass, bounded memory, no trace
+	// materialization) instead of the cached trace and annotation. It
+	// picks the source only: the cells, their cache and their telemetry
+	// are the same, and so are the stats. Experiments that need a
+	// materialized trace (locality, annotation tables) are unaffected.
 	Stream bool
 	// ZooFamilies restricts the predictor-zoo sweep to the named
 	// families (lvpsim -zoo); empty selects every registered family.
@@ -300,80 +304,100 @@ func (s *Suite) AnnotationStats(name string, target prog.Target, cfg lvp.Config)
 // Sim620 simulates one benchmark on the 620 (plus=false) or 620+ with the
 // given LVP config; cfg == nil means no LVP hardware.
 func (s *Suite) Sim620(name string, plus bool, cfg *lvp.Config) (ppc620.Stats, error) {
-	key := sim620Key{name: name, plus: plus, noLVP: cfg == nil}
-	if cfg != nil {
-		key.cfg = *cfg
+	mc := ppc620.Config620()
+	if plus {
+		mc = ppc620.Config620Plus()
 	}
-	ctx := s.context()
-	return s.cacheState().s620.GetCtx(ctx, key, func() (ppc620.Stats, error) {
-		if s.Stream {
-			return s.StreamSim620(name, plus, cfg)
-		}
-		t, err := s.Trace(name, prog.PPC)
-		if err != nil {
-			return ppc620.Stats{}, err
-		}
-		var ann trace.Annotation
-		cfgName := "none"
-		if cfg != nil {
-			cfgName = cfg.Name
-			ann, _, err = s.Annotation(name, prog.PPC, *cfg)
-			if err != nil {
-				return ppc620.Stats{}, err
-			}
-		}
-		if err := ctx.Err(); err != nil {
-			return ppc620.Stats{}, err
-		}
-		mc := ppc620.Config620()
-		if plus {
-			mc = ppc620.Config620Plus()
-		}
-		start := time.Now()
-		st := ppc620.SimulateObs(t, ann, mc, cfgName, s.Tracer)
-		s.record620Stats(st)
-		s.finishPhase("sim620", start,
-			slog.String("bench", name), slog.String("machine", mc.Name),
-			slog.String("config", cfgName))
-		return st, nil
-	})
+	return s.sim620(name, mc, cfg)
 }
 
 // Sim21164 simulates one benchmark on the 21164 with the given LVP config
 // (nil = no LVP hardware).
 func (s *Suite) Sim21164(name string, cfg *lvp.Config) (axp21164.Stats, error) {
-	key := sim164Key{name: name, noLVP: cfg == nil}
+	return s.sim21164(name, axp21164.Config21164(), cfg)
+}
+
+// sim620 is the cached 620-family cell: one simulation per benchmark,
+// machine Config and LVP config, fed by cellSource and run by run620.
+func (s *Suite) sim620(name string, mc ppc620.Config, cfg *lvp.Config) (ppc620.Stats, error) {
+	key := sim620Key{name: name, mc: mc, noLVP: cfg == nil}
 	if cfg != nil {
 		key.cfg = *cfg
 	}
-	ctx := s.context()
-	return s.cacheState().s164.GetCtx(ctx, key, func() (axp21164.Stats, error) {
-		if s.Stream {
-			return s.StreamSim21164(name, cfg)
+	return s.cacheState().s620.GetCtx(s.context(), key, func() (ppc620.Stats, error) {
+		src, err := s.cellSource(name, prog.PPC, cfg)
+		if err != nil {
+			return ppc620.Stats{}, err
 		}
-		t, err := s.Trace(name, prog.AXP)
+		st, err := s.run620(name, src, mc, configName(cfg))
+		if err == nil {
+			s.countStreamed(st.Instructions)
+		}
+		return st, err
+	})
+}
+
+// sim21164 is the cached 21164-family cell, the counterpart of sim620.
+func (s *Suite) sim21164(name string, mc axp21164.Config, cfg *lvp.Config) (axp21164.Stats, error) {
+	key := sim164Key{name: name, mc: mc, noLVP: cfg == nil}
+	if cfg != nil {
+		key.cfg = *cfg
+	}
+	return s.cacheState().s164.GetCtx(s.context(), key, func() (axp21164.Stats, error) {
+		src, err := s.cellSource(name, prog.AXP, cfg)
 		if err != nil {
 			return axp21164.Stats{}, err
 		}
-		var ann trace.Annotation
-		cfgName := "none"
-		if cfg != nil {
-			cfgName = cfg.Name
-			ann, _, err = s.Annotation(name, prog.AXP, *cfg)
-			if err != nil {
-				return axp21164.Stats{}, err
-			}
+		st, err := s.run21164(name, src, mc, configName(cfg))
+		if err == nil {
+			s.countStreamed(st.Instructions)
 		}
-		if err := ctx.Err(); err != nil {
-			return axp21164.Stats{}, err
-		}
-		start := time.Now()
-		st := axp21164.SimulateObs(t, ann, axp21164.Config21164(), cfgName, s.Tracer)
-		s.record164Stats(st)
-		s.finishPhase("sim21164", start,
-			slog.String("bench", name), slog.String("config", cfgName))
-		return st, nil
+		return st, err
 	})
+}
+
+// run620 is the timed 620-family core: every 620/620+ simulation in the
+// package runs here, so each one is counted on the sim620.* counters, timed
+// under phase.sim620 and spanned exactly once.
+func (s *Suite) run620(name string, src trace.AnnotatedSource, mc ppc620.Config, cfgName string) (ppc620.Stats, error) {
+	if err := s.context().Err(); err != nil {
+		return ppc620.Stats{}, err
+	}
+	start := time.Now()
+	st, err := ppc620.SimulateSourceObs(src, mc, cfgName, s.Tracer)
+	if err != nil {
+		return ppc620.Stats{}, fmt.Errorf("exp: simulating %s/%s: %w", name, mc.Name, err)
+	}
+	s.record620Stats(st)
+	s.finishPhase("sim620", start,
+		slog.String("bench", name), slog.String("machine", mc.Name),
+		slog.String("config", cfgName))
+	return st, nil
+}
+
+// run21164 is the timed 21164-family core, the counterpart of run620.
+func (s *Suite) run21164(name string, src trace.AnnotatedSource, mc axp21164.Config, cfgName string) (axp21164.Stats, error) {
+	if err := s.context().Err(); err != nil {
+		return axp21164.Stats{}, err
+	}
+	start := time.Now()
+	st, err := axp21164.SimulateSourceObs(src, mc, cfgName, s.Tracer)
+	if err != nil {
+		return axp21164.Stats{}, fmt.Errorf("exp: simulating %s/%s: %w", name, mc.Name, err)
+	}
+	s.record164Stats(st)
+	s.finishPhase("sim21164", start,
+		slog.String("bench", name), slog.String("machine", mc.Name),
+		slog.String("config", cfgName))
+	return st, nil
+}
+
+// configName labels a simulation with its LVP config; nil is "none".
+func configName(cfg *lvp.Config) string {
+	if cfg == nil {
+		return "none"
+	}
+	return cfg.Name
 }
 
 // forEachBench runs fn for every benchmark on the suite's worker pool and

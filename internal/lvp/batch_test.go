@@ -48,11 +48,9 @@ func pipeDrainBatch(t *testing.T, p *Pipe, bufSize int) ([]trace.Record, trace.A
 }
 
 // TestPipeNextBatchMatchesNext is the annotation-layer batch differential:
-// for every paper configuration, NextBatch over both a per-record source
-// (the in-memory slice, exercising the gather path) and a batch-capable
-// source (the VLT1 Reader, exercising the pass-through path) must produce
-// exactly the records, states and unit statistics of the record-at-a-time
-// Pipe.
+// for every paper configuration, NextBatch over both the in-memory slice
+// source and the VLT1 Reader must produce exactly the records, states and
+// unit statistics of the record-at-a-time Pipe.
 func TestPipeNextBatchMatchesNext(t *testing.T) {
 	tr := mixedTrace(4096)
 	var enc bytes.Buffer
@@ -69,7 +67,7 @@ func TestPipeNextBatchMatchesNext(t *testing.T) {
 			wantStats := ref.Stats()
 
 			for _, bufSize := range []int{1, 7, 256} {
-				// Gather path: per-record slice source underneath.
+				// In-memory slice source underneath.
 				p1, err := NewPipe(tr.Stream(), cfg, nil)
 				if err != nil {
 					t.Fatal(err)
@@ -82,7 +80,7 @@ func TestPipeNextBatchMatchesNext(t *testing.T) {
 					t.Fatalf("bufSize %d (slice src): stats diverged", bufSize)
 				}
 
-				// Pass-through path: batch-capable Reader underneath.
+				// VLT1 Reader underneath.
 				rd, err := trace.NewReader(bytes.NewReader(enc.Bytes()))
 				if err != nil {
 					t.Fatal(err)

@@ -34,7 +34,7 @@ func TestPathLVPDisambiguatesByPath(t *testing.T) {
 }
 
 func TestPathLVPZeroBitsIsLastValue(t *testing.T) {
-	p := NewPathLVP(64, 0)
+	p := newPathLVP(64, 0)
 	p.Branch(true) // must not perturb the index with 0 history bits
 	p.Update(0x1000, 42)
 	p.Branch(false)
@@ -45,8 +45,8 @@ func TestPathLVPZeroBitsIsLastValue(t *testing.T) {
 
 func TestPathLVPBadArgsPanic(t *testing.T) {
 	for _, f := range []func(){
-		func() { NewPathLVP(1000, 2) },
-		func() { NewPathLVP(1024, 64) },
+		func() { newPathLVP(1000, 2) },
+		func() { newPathLVP(1024, 64) },
 	} {
 		func() {
 			defer func() {

@@ -1,8 +1,6 @@
 package lvp
 
 import (
-	"io"
-
 	"lvp/internal/obs"
 	"lvp/internal/trace"
 )
@@ -84,9 +82,9 @@ func (a *Annotator) RecordBatch(recs []trace.Record, states []trace.PredState) {
 func (a *Annotator) Stats() Stats { return a.u.Stats() }
 
 // Pipe adapts a record source into the annotated stream the timing models
-// consume: each Next pulls one record from src, annotates it, and hands the
-// pair downstream without buffering. Stats is valid once the stream has
-// drained (Next returned io.EOF).
+// consume: each NextBatch (or its per-record oracle, Next) pulls from src,
+// annotates what it pulled, and hands it downstream without buffering.
+// Stats is valid once the stream has drained (io.EOF).
 type Pipe struct {
 	src trace.Source
 	a   *Annotator
@@ -113,32 +111,10 @@ func (p *Pipe) Next() (*trace.Record, trace.PredState, error) {
 }
 
 // NextBatch pulls up to len(recs) records from the source and annotates
-// them in order (see trace.AnnotatedBatchSource). When the source is
-// itself batch-capable the whole gen → annotate hop costs two calls per
-// batch; otherwise records are gathered one at a time and annotated in
-// bulk, which still amortizes the annotation dispatch.
+// them in order (see trace.AnnotatedSource): the whole gen → annotate hop
+// costs two calls per batch.
 func (p *Pipe) NextBatch(recs []trace.Record, states []trace.PredState) (int, error) {
-	var n int
-	var err error
-	if bs, ok := p.src.(trace.BatchSource); ok {
-		n, err = bs.NextBatch(recs)
-	} else {
-		for n < len(recs) {
-			r, rerr := p.src.Next()
-			if rerr != nil {
-				err = rerr
-				break
-			}
-			recs[n] = *r
-			n++
-		}
-		if n > 0 && err == io.EOF {
-			err = nil
-		}
-	}
-	if n == 0 {
-		return 0, err
-	}
+	n, err := p.src.NextBatch(recs)
 	p.a.RecordBatch(recs[:n], states[:n])
 	return n, err
 }

@@ -128,14 +128,6 @@ func WithTrace(ctx context.Context, traceID string, tr *Tracer, rec *FlightRecor
 	})
 }
 
-// SpanEnabled reports whether ctx carries a live span scope. Callers that
-// build attributes for a span should guard with it, exactly like
-// Tracer.Enabled guards event attributes.
-func SpanEnabled(ctx context.Context) bool {
-	sc, _ := ctx.Value(scopeKey{}).(*spanScope)
-	return sc != nil
-}
-
 // TraceID returns ctx's trace ID, or "" without a scope.
 func TraceID(ctx context.Context) string {
 	if sc, _ := ctx.Value(scopeKey{}).(*spanScope); sc != nil {

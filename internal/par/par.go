@@ -59,7 +59,7 @@ func (p *Pool) Go(fn func() error) {
 
 // Wait blocks until every submitted task has finished and returns the first
 // error observed (in completion order). For a deterministic error choice use
-// ForEach, which reports the lowest-index failure.
+// ForEachCtx, which reports the lowest-index failure.
 func (p *Pool) Wait() error {
 	p.wg.Wait()
 	p.mu.Lock()
@@ -75,26 +75,16 @@ type Meter interface {
 	Release()
 }
 
-// ForEach runs fn(i) for every i in [0, n) on a bounded pool of `workers`
-// goroutines (<= 0 selects DefaultWorkers) and waits for all of them.
+// ForEachCtx runs fn(i) for every i in [0, n) on a bounded pool of
+// `workers` goroutines (<= 0 selects DefaultWorkers) and waits for all of
+// them.
 //
-// Each index writes its error into a private slot, and ForEach returns the
-// non-nil error with the lowest index — so the error path, like the success
-// path, is independent of scheduling order.
-func ForEach(workers, n int, fn func(i int) error) error {
-	return ForEachMeter(workers, n, nil, fn)
-}
-
-// ForEachMeter is ForEach with an occupancy meter observing how many tasks
-// are running at once; m == nil meters nothing.
-func ForEachMeter(workers, n int, m Meter, fn func(i int) error) error {
-	return ForEachMeterCtx(context.Background(), workers, n, m, fn)
-}
-
-// ForEachCtx is ForEach with cancellation: once ctx is done no further
-// indices are launched (already-running tasks finish normally; fn observes
-// cancellation itself if it checks ctx). If every launched task succeeded
-// but some indices were skipped, it returns ctx's error.
+// Each index writes its error into a private slot, and ForEachCtx returns
+// the non-nil error with the lowest index — so the error path, like the
+// success path, is independent of scheduling order. Once ctx is done no
+// further indices are launched (already-running tasks finish normally; fn
+// observes cancellation itself if it checks ctx). If every launched task
+// succeeded but some indices were skipped, it returns ctx's error.
 func ForEachCtx(ctx context.Context, workers, n int, fn func(i int) error) error {
 	return ForEachMeterCtx(ctx, workers, n, nil, fn)
 }

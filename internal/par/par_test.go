@@ -1,6 +1,7 @@
 package par
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -174,7 +175,7 @@ func TestPoolError(t *testing.T) {
 func TestForEachVisitsAll(t *testing.T) {
 	const n = 100
 	var visits [n]atomic.Int64
-	err := ForEach(4, n, func(i int) error {
+	err := ForEachCtx(context.Background(), 4, n, func(i int) error {
 		visits[i].Add(1)
 		return nil
 	})
@@ -193,7 +194,7 @@ func TestForEachVisitsAll(t *testing.T) {
 // completion order.
 func TestForEachLowestIndexError(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
-		err := ForEach(8, 20, func(i int) error {
+		err := ForEachCtx(context.Background(), 8, 20, func(i int) error {
 			if i%3 == 2 { // fails at 2, 5, 8, ...
 				if i == 2 {
 					// Make the lowest failure finish last.
@@ -210,7 +211,7 @@ func TestForEachLowestIndexError(t *testing.T) {
 }
 
 func TestForEachZeroItems(t *testing.T) {
-	if err := ForEach(4, 0, func(int) error { return errors.New("nope") }); err != nil {
+	if err := ForEachCtx(context.Background(), 4, 0, func(int) error { return errors.New("nope") }); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -220,7 +221,7 @@ func TestDefaultWorkersPositive(t *testing.T) {
 		t.Fatalf("DefaultWorkers = %d", DefaultWorkers())
 	}
 	// workers <= 0 must fall back to the default, not deadlock.
-	if err := ForEach(0, 5, func(int) error { return nil }); err != nil {
+	if err := ForEachCtx(context.Background(), 0, 5, func(int) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	p := NewPool(-1)

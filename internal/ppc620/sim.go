@@ -182,17 +182,7 @@ func ringSize(cfg Config) int {
 // Simulate runs the trace through the machine model. ann may be nil (no LVP
 // unit); lvpName labels the run in the stats.
 func Simulate(tr *trace.Trace, ann trace.Annotation, cfg Config, lvpName string) Stats {
-	return SimulateObs(tr, ann, cfg, lvpName, nil)
-}
-
-// SimulateObs is Simulate with an event tracer: machine incidents (alias
-// refetches, MSHR stalls, bank conflicts) on the sim channel, L1 misses on
-// the cache channel. obsTr == nil is exactly Simulate.
-//
-// It is a thin wrapper over SimulateSourceObs on an in-memory slice source,
-// so the in-memory and streaming paths share one cycle-level core.
-func SimulateObs(tr *trace.Trace, ann trace.Annotation, cfg Config, lvpName string, obsTr *obs.Tracer) Stats {
-	st, err := SimulateSourceObs(tr.StreamAnnotated(ann), cfg, lvpName, obsTr)
+	st, err := SimulateSource(tr.StreamAnnotated(ann), cfg, lvpName)
 	if err != nil {
 		// A slice source cannot fail.
 		panic("ppc620: in-memory simulation failed: " + err.Error())
@@ -208,12 +198,13 @@ func SimulateSource(src trace.AnnotatedSource, cfg Config, lvpName string) (Stat
 	return SimulateSourceObs(src, cfg, lvpName, nil)
 }
 
-// SimulateSourceObs is SimulateSource with an event tracer. The fetch loop
-// consumes the source slab-at-a-time through a trace.SlabReader: span-capable
-// sources (the in-memory trace) are walked in place with zero copies,
-// batch-capable ones (the fused gen → annotate pipeline, the trace readers)
-// refill a local slab in bulk, and only record-only sources pay per-record
-// interface dispatch.
+// SimulateSourceObs is SimulateSource with an event tracer: machine
+// incidents (alias refetches, MSHR stalls, bank conflicts) on the sim
+// channel, L1 misses on the cache channel; obsTr == nil is exactly
+// SimulateSource. The fetch loop consumes the source slab-at-a-time through
+// a trace.SlabReader: the in-memory trace is walked in place with zero
+// copies, and streamed sources (the fused gen → annotate pipeline, the trace
+// readers) refill a local slab in bulk.
 func SimulateSourceObs(src trace.AnnotatedSource, cfg Config, lvpName string, obsTr *obs.Tracer) (Stats, error) {
 	m := &machine{
 		cfg:       cfg,

@@ -5,36 +5,22 @@ import (
 	"io"
 )
 
-// Batched streaming. The PR-4 pull pipeline moves one record per interface
-// call: gen → annotate → sim costs several dynamic dispatches per record,
-// and the VLT1 Reader additionally pays an io.ByteReader interface call per
-// varint *byte*. The batch layer amortizes all of that: sources that can
-// produce records in bulk implement NextBatch, and Pump re-buffers any
-// batch-capable source so record-at-a-time consumers (the cycle-level
-// machine models) read from a local buffer instead of an interface chain.
+// Batched streaming. Every Source and AnnotatedSource moves records in
+// bulk through NextBatch, so gen → annotate → sim costs a few dynamic calls
+// per batch instead of several per record, and the VLT1 Reader skips its
+// per-byte io.ByteReader dispatch. The machine models consume slabs through
+// SlabReader, which also takes zero-copy spans where the source offers them.
 //
 // Batches never change what flows through the pipeline — only how many
 // records move per call. The streamed-vs-in-memory differential gate and
 // the NextBatch-vs-Next differentials in batch_test.go pin that equivalence.
 
-// BatchSource is a Source that can also deliver records in bulk. NextBatch
-// fills buf with as many records as are available, up to len(buf), and
-// returns the count; unlike Next's reused pointer, the filled records are
-// the caller's to keep. It returns n > 0 with a nil error while records
-// remain, and (0, io.EOF) once the stream is exhausted. A decode or
-// execution error may follow n > 0 already-valid records.
-type BatchSource interface {
-	Source
-	NextBatch(buf []Record) (int, error)
-}
+// BatchSource is Source; the name is kept for perfbench/, which names it.
+type BatchSource = Source
 
-// AnnotatedBatchSource is the batched form of AnnotatedSource: NextBatch
-// fills recs and the parallel states slice (len(states) must be at least
-// len(recs)) with the same contract as BatchSource.NextBatch.
-type AnnotatedBatchSource interface {
-	AnnotatedSource
-	NextBatch(recs []Record, states []PredState) (int, error)
-}
+// AnnotatedBatchSource is AnnotatedSource; the name is kept for perfbench/,
+// which names it.
+type AnnotatedBatchSource = AnnotatedSource
 
 // AnnotatedSpanSource is an annotated source that can hand over
 // internally-owned runs of records without copying: NextSpan returns the
@@ -53,32 +39,29 @@ type AnnotatedSpanSource interface {
 	NextSpan() ([]Record, []PredState, error)
 }
 
-// SlabReader adapts any AnnotatedSource for slab-at-a-time consumption: each
+// slabSize is SlabReader's refill size: large enough to amortize the
+// per-batch interface call to nothing, small enough to stay resident in L1
+// (256 records ≈ 20 KiB).
+const slabSize = 256
+
+// SlabReader adapts an AnnotatedSource for slab-at-a-time consumption: each
 // Next hands the caller a view of the next run of records and states. It
-// picks the cheapest path the source supports — zero-copy spans, bulk
-// NextBatch refills into an internal slab, or a record-at-a-time gather —
-// so the timing models' fetch loops are written once against slabs and pay
-// per-record interface dispatch only when the source offers nothing better.
-// Errors follow the Pump discipline: records delivered before a decode
-// failure are always handed over first; the error surfaces on the following
-// Next call.
+// takes zero-copy spans when the source offers them and otherwise refills an
+// internal slab through NextBatch, so the timing models' fetch loops are
+// written once against slabs. Records delivered before a decode failure are
+// always handed over first; the error surfaces on the following Next call.
 type SlabReader struct {
 	src    AnnotatedSource
-	batch  AnnotatedBatchSource
 	span   AnnotatedSpanSource
-	recs   [pumpBatch]Record
-	states [pumpBatch]PredState
+	recs   [slabSize]Record
+	states [slabSize]PredState
 	err    error // pending error, delivered after the current slab drains
 }
 
 // NewSlabReader returns a SlabReader over src.
 func NewSlabReader(src AnnotatedSource) *SlabReader {
 	sr := &SlabReader{src: src}
-	if sp, ok := src.(AnnotatedSpanSource); ok {
-		sr.span = sp
-	} else if bs, ok := src.(AnnotatedBatchSource); ok {
-		sr.batch = bs
-	}
+	sr.span, _ = src.(AnnotatedSpanSource)
 	return sr
 }
 
@@ -94,42 +77,24 @@ func (s *SlabReader) Next() ([]Record, []PredState, error) {
 		s.err = nil
 		return nil, nil, err
 	}
-	switch {
-	case s.span != nil:
-		recs, states, err := s.span.NextSpan()
-		if len(recs) == 0 {
-			if err == nil {
-				err = io.EOF
-			}
-			return nil, nil, err
-		}
-		s.err = err
-		return recs, states, nil
-	case s.batch != nil:
-		n, err := s.batch.NextBatch(s.recs[:], s.states[:])
-		if n == 0 {
-			if err == nil {
-				err = io.EOF // a (0, nil) source would otherwise spin
-			}
-			return nil, nil, err
-		}
-		s.err = err
-		return s.recs[:n], s.states[:n], nil
+	var recs []Record
+	var states []PredState
+	var err error
+	if s.span != nil {
+		recs, states, err = s.span.NextSpan()
+	} else {
+		var n int
+		n, err = s.src.NextBatch(s.recs[:], s.states[:])
+		recs, states = s.recs[:n], s.states[:n]
 	}
-	n := 0
-	for n < len(s.recs) {
-		r, pred, err := s.src.Next()
-		if err != nil {
-			if n == 0 {
-				return nil, nil, err
-			}
-			s.err = err
-			break
+	if len(recs) == 0 {
+		if err == nil {
+			err = io.EOF // a (0, nil) source would otherwise spin
 		}
-		s.recs[n], s.states[n] = *r, pred
-		n++
+		return nil, nil, err
 	}
-	return s.recs[:n], s.states[:n], nil
+	s.err = err
+	return recs, states, nil
 }
 
 // maxEncodedRecord bounds one VLT1 record's encoding: a 6-byte fixed
@@ -248,74 +213,3 @@ func (r *Reader) decodeFast(p []byte, rec *Record) int {
 	r.prevPC = rec.PC
 	return off
 }
-
-// noLVPBatch is NoLVP over a batch-capable source: record batches pass
-// through, every state is PredNone.
-type noLVPBatch struct {
-	noLVP
-	bs BatchSource
-}
-
-func (n noLVPBatch) NextBatch(recs []Record, states []PredState) (int, error) {
-	m, err := n.bs.NextBatch(recs)
-	for i := 0; i < m; i++ {
-		states[i] = PredNone
-	}
-	return m, err
-}
-
-// pumpBatch is Pump's internal buffer size: large enough to amortize the
-// per-batch interface call to nothing, small enough to stay resident in L1
-// (256 records ≈ 20 KiB).
-const pumpBatch = 256
-
-// Pump adapts a batch-capable annotated source for record-at-a-time
-// consumers: Next serves from a local buffer refilled via one NextBatch
-// call per pumpBatch records, so a cycle-level model's fetch loop pays a
-// buffer read instead of an interface-call chain. Records returned by Next
-// stay valid until the buffer refills — the same one-call lifetime the
-// AnnotatedSource contract gives.
-type Pump struct {
-	src    AnnotatedBatchSource
-	recs   [pumpBatch]Record
-	states [pumpBatch]PredState
-	i, n   int
-	err    error // error delivered after the buffered records drain
-}
-
-// NewPump returns a Pump buffering src.
-func NewPump(src AnnotatedBatchSource) *Pump { return &Pump{src: src} }
-
-// Buffer re-buffers src through a Pump when it is batch-capable and
-// returns it unchanged otherwise, so callers can wrap unconditionally.
-func Buffer(src AnnotatedSource) AnnotatedSource {
-	if bs, ok := src.(AnnotatedBatchSource); ok {
-		return NewPump(bs)
-	}
-	return src
-}
-
-// Next returns the next buffered record, refilling as needed.
-func (p *Pump) Next() (*Record, PredState, error) {
-	if p.i >= p.n {
-		if p.err != nil {
-			return nil, PredNone, p.err
-		}
-		n, err := p.src.NextBatch(p.recs[:], p.states[:])
-		if n == 0 {
-			if err == nil {
-				err = io.EOF // a (0, nil) source would otherwise spin
-			}
-			p.err = err
-			return nil, PredNone, err
-		}
-		p.i, p.n, p.err = 0, n, err
-	}
-	r := &p.recs[p.i]
-	st := p.states[p.i]
-	p.i++
-	return r, st, nil
-}
-
-// Annotated reports whether the underlying source carries LVP annotations.
-func (p *Pump) Annotated() bool { return p.src.Annotated() }

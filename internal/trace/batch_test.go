@@ -142,11 +142,34 @@ func (s *errAfterSource) NextBatch(recs []Record, states []PredState) (int, erro
 
 func (s *errAfterSource) Annotated() bool { return false }
 
-// TestPumpMatchesReader pins the Pump adapter: re-buffering a batch-capable
-// source must yield exactly the per-record sequence of the unbuffered
-// source, including the PredNone states of a NoLVP wrapper.
-func TestPumpMatchesReader(t *testing.T) {
-	enc := encodeTrace(genTrace(3001))
+// drainSlabs reads sr to the end, copying every record and state.
+func drainSlabs(t *testing.T, sr *SlabReader) ([]Record, []PredState) {
+	t.Helper()
+	var recs []Record
+	var states []PredState
+	for {
+		rs, sts, err := sr.Next()
+		if err == io.EOF {
+			return recs, states
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs = append(recs, rs...)
+		if sts == nil {
+			sts = make([]PredState, len(rs))
+		}
+		states = append(states, sts...)
+	}
+}
+
+// TestSlabReaderMatchesReader pins both SlabReader branches: slabs refilled
+// through NextBatch (a NoLVP-wrapped Reader) and zero-copy spans (an
+// in-memory trace) must yield exactly the per-record sequence of the
+// unbuffered source, with the PredNone states of an un-annotated stream.
+func TestSlabReaderMatchesReader(t *testing.T) {
+	tr := genTrace(3001)
+	enc := encodeTrace(tr)
 	r1, err := NewReader(bytes.NewReader(enc))
 	if err != nil {
 		t.Fatal(err)
@@ -159,70 +182,35 @@ func TestPumpMatchesReader(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := NoLVP(r2)
-	if _, ok := src.(AnnotatedBatchSource); !ok {
-		t.Fatal("NoLVP over a Reader must be batch-capable")
-	}
-	pump := Buffer(src)
-	if _, ok := pump.(*Pump); !ok {
-		t.Fatal("Buffer must re-buffer a batch-capable source through a Pump")
-	}
-	var got []Record
-	for {
-		rec, st, err := pump.Next()
-		if err == io.EOF {
-			break
+	for _, src := range []AnnotatedSource{NoLVP(r2), tr.StreamAnnotated(nil)} {
+		sr := NewSlabReader(src)
+		if sr.Annotated() {
+			t.Fatal("un-annotated source must not report annotations")
 		}
-		if err != nil {
-			t.Fatal(err)
+		got, states := drainSlabs(t, sr)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%T: slab records differ from direct decode", src)
 		}
-		if st != PredNone {
-			t.Fatalf("NoLVP state = %v, want PredNone", st)
+		for i, st := range states {
+			if st != PredNone {
+				t.Fatalf("%T: record %d state = %v, want PredNone", src, i, st)
+			}
 		}
-		got = append(got, *rec)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("pumped records differ from direct decode")
-	}
-	if pump.Annotated() {
-		t.Fatal("NoLVP pump must not report annotations")
 	}
 }
 
-// TestPumpDeliversRecordsBeforeError: when a batch arrives as (n > 0, err),
-// the Pump must hand out all n records before surfacing the error, and the
-// error must then be sticky.
-func TestPumpDeliversRecordsBeforeError(t *testing.T) {
+// TestSlabReaderDeliversRecordsBeforeError: when a batch arrives as
+// (n > 0, err), the SlabReader must hand out all n records before surfacing
+// the error on the following call.
+func TestSlabReaderDeliversRecordsBeforeError(t *testing.T) {
 	boom := errors.New("boom")
-	src := &errAfterSource{recs: genTrace(5).Records, err: boom}
-	p := NewPump(src)
-	for i := 0; i < 5; i++ {
-		if _, _, err := p.Next(); err != nil {
-			t.Fatalf("record %d: premature error %v", i, err)
-		}
+	sr := NewSlabReader(&errAfterSource{recs: genTrace(5).Records, err: boom})
+	recs, _, err := sr.Next()
+	if err != nil || len(recs) != 5 {
+		t.Fatalf("first slab: %d records, err %v; want 5, nil", len(recs), err)
 	}
-	for i := 0; i < 2; i++ {
-		if _, _, err := p.Next(); err != boom {
-			t.Fatalf("after drain: err = %v, want boom (sticky)", err)
-		}
-	}
-}
-
-// recordOnlySource strips a source down to the bare AnnotatedSource methods,
-// hiding any batch/span capability of the wrapped source.
-type recordOnlySource struct {
-	src AnnotatedSource
-}
-
-func (s recordOnlySource) Next() (*Record, PredState, error) { return s.src.Next() }
-func (s recordOnlySource) Annotated() bool                   { return s.src.Annotated() }
-
-// TestBufferPassthrough: a per-record-only source must come back unchanged.
-func TestBufferPassthrough(t *testing.T) {
-	tr := genTrace(8)
-	src := recordOnlySource{tr.StreamAnnotated(nil)}
-	if got := Buffer(src); got != src {
-		t.Fatal("Buffer must return per-record sources unchanged")
+	if _, _, err := sr.Next(); err != boom {
+		t.Fatalf("after drain: err = %v, want boom", err)
 	}
 }
 

@@ -48,7 +48,7 @@ type Decoder interface {
 	Target() string
 	Count() uint64
 	Decoded() uint64
-	BatchSource
+	Source
 }
 
 // Encoder is the format-independent streaming write seam, satisfied by the

@@ -18,20 +18,35 @@ import (
 // across Next calls must copy them.
 
 // Source yields the records of a dynamic instruction trace in program
-// order. Next returns io.EOF after the final record. The returned pointer
-// is only valid until the next call to Next.
+// order. It is the one pull contract every producer implements: the VM,
+// the trace readers and the in-memory trace.
+//
+// NextBatch is the working form. It fills buf with as many records as are
+// available, up to len(buf), and returns the count; the filled records are
+// the caller's to keep. It returns n > 0 with a nil error while records
+// remain, and (0, io.EOF) once the stream is exhausted. A decode or
+// execution error may follow n > 0 already-valid records.
+//
+// Next is the per-record oracle the NextBatch differentials check against:
+// it returns io.EOF after the final record, and the returned pointer is
+// only valid until the next call. A consumer uses one method or the other
+// for a whole stream, never both.
 type Source interface {
 	Next() (*Record, error)
+	NextBatch(buf []Record) (int, error)
 }
 
 // AnnotatedSource yields records paired with their per-record LVP
-// prediction state, the unit of work flowing into the timing models in
-// streaming mode. Annotated reports whether the stream carries real LVP
+// prediction state, the unit of work flowing into the timing models.
+// NextBatch fills recs and the parallel states slice (len(states) must be
+// at least len(recs)) under Source.NextBatch's contract, and Next is its
+// per-record oracle. Annotated reports whether the stream carries real LVP
 // annotations; false models a machine without LVP hardware (every state is
 // PredNone, and the models skip their prediction-state accounting exactly
 // as they do for a nil Annotation).
 type AnnotatedSource interface {
 	Next() (*Record, PredState, error)
+	NextBatch(recs []Record, states []PredState) (int, error)
 	Annotated() bool
 }
 
@@ -48,6 +63,15 @@ func (s *sliceSource) Next() (*Record, error) {
 	r := &s.t.Records[s.i]
 	s.i++
 	return r, nil
+}
+
+func (s *sliceSource) NextBatch(buf []Record) (int, error) {
+	if s.i >= len(s.t.Records) {
+		return 0, io.EOF
+	}
+	n := copy(buf, s.t.Records[s.i:])
+	s.i += n
+	return n, nil
 }
 
 // Stream returns a Source yielding t's records in order.
@@ -84,9 +108,7 @@ func (s *annotatedSlice) NextBatch(recs []Record, states []PredState) (int, erro
 	if s.ann != nil {
 		copy(states[:n], s.ann[s.i:s.i+n])
 	} else {
-		for i := range states[:n] {
-			states[i] = PredNone
-		}
+		clear(states[:n])
 	}
 	s.i += n
 	return n, nil
@@ -122,17 +144,17 @@ func (n noLVP) Next() (*Record, PredState, error) {
 	return r, PredNone, err
 }
 
+func (n noLVP) NextBatch(recs []Record, states []PredState) (int, error) {
+	m, err := n.src.NextBatch(recs)
+	clear(states[:m])
+	return m, err
+}
+
 func (noLVP) Annotated() bool { return false }
 
 // NoLVP adapts src for a timing model run without LVP hardware: every
-// record carries PredNone and Annotated reports false. When src can
-// deliver batches, the adapter is itself an AnnotatedBatchSource.
-func NoLVP(src Source) AnnotatedSource {
-	if bs, ok := src.(BatchSource); ok {
-		return noLVPBatch{noLVP{src}, bs}
-	}
-	return noLVP{src}
-}
+// record carries PredNone and Annotated reports false.
+func NoLVP(src Source) AnnotatedSource { return noLVP{src} }
 
 // Reader decodes a VLT1 stream record-at-a-time. The header (name, target,
 // count) is read at construction; Next then yields each record without

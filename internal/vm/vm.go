@@ -22,24 +22,6 @@ var ErrStepLimit = errors.New("vm: step limit exceeded")
 // DefaultMaxSteps bounds execution when the caller does not.
 const DefaultMaxSteps = 50_000_000
 
-// Sink receives each retired instruction. The hot path calls Emit once per
-// instruction, so implementations should be cheap.
-type Sink interface {
-	Emit(trace.Record)
-}
-
-// collector accumulates records in memory.
-type collector struct {
-	recs []trace.Record
-}
-
-func (c *collector) Emit(r trace.Record) { c.recs = append(c.recs, r) }
-
-// discard counts instructions without storing them.
-type discard struct{ n int }
-
-func (d *discard) Emit(trace.Record) { d.n++ }
-
 // Result is what a completed run produces besides the trace.
 type Result struct {
 	Steps  int      // retired instruction count
@@ -49,22 +31,22 @@ type Result struct {
 
 // Run executes p to completion and returns its full trace and result.
 func Run(p *prog.Program, maxSteps int) (*trace.Trace, *Result, error) {
-	c := &collector{recs: make([]trace.Record, 0, 1<<16)}
-	res, err := RunSink(p, maxSteps, c)
+	recs := make([]trace.Record, 0, 1<<16)
+	res, err := run(p, maxSteps, func(r *trace.Record) { recs = append(recs, *r) })
 	if err != nil {
 		return nil, nil, err
 	}
-	t := &trace.Trace{Name: p.Name, Target: p.Target.Name, Records: c.recs}
+	t := &trace.Trace{Name: p.Name, Target: p.Target.Name, Records: recs}
 	return t, res, nil
 }
 
 // Exec executes p without retaining a trace (functional testing).
 func Exec(p *prog.Program, maxSteps int) (*Result, error) {
-	return RunSink(p, maxSteps, &discard{})
+	return run(p, maxSteps, func(*trace.Record) {})
 }
 
-// RunSink executes p, streaming each retired instruction into sink.
-func RunSink(p *prog.Program, maxSteps int, sink Sink) (*Result, error) {
+// run executes p, handing each retired instruction to emit.
+func run(p *prog.Program, maxSteps int, emit func(*trace.Record)) (*Result, error) {
 	src := NewSource(p, maxSteps)
 	for {
 		r, err := src.Next()
@@ -74,7 +56,7 @@ func RunSink(p *prog.Program, maxSteps int, sink Sink) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		sink.Emit(*r)
+		emit(r)
 	}
 }
 
@@ -127,7 +109,7 @@ func (s *Source) Next() (*trace.Record, error) {
 
 // NextBatch executes up to len(buf) instructions, filling buf with their
 // records in retirement order: the batched form of Next (see
-// trace.BatchSource). It returns the number of records produced; the
+// trace.Source). It returns the number of records produced; the
 // records are the caller's to keep. After the HALT record has been
 // delivered it returns (0, io.EOF). An execution error may follow n > 0
 // already-valid records.
