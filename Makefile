@@ -42,9 +42,10 @@ race:
 race-full:
 	$(GO) test -race -timeout 30m ./...
 
-# Short fuzz sessions over the trace codecs: the whole-trace round-trip
-# property, the streaming Reader/Writer round-trip property, and the VLT2
-# block-codec round-trip (both decode paths, every codec).
+# Short fuzz sessions over the trace codecs: the VLT1 round-trip property
+# through Read and through the streaming Reader (minimal and padded count
+# headers), and the VLT2 block-codec round-trip (both decode paths, both
+# codecs).
 fuzz:
 	$(GO) test -fuzz='FuzzRoundTrip$$' -fuzztime=30s ./internal/trace/
 	$(GO) test -fuzz='FuzzStreamRoundTrip$$' -fuzztime=30s ./internal/trace/
@@ -61,12 +62,11 @@ bench:
 bench-obs:
 	$(GO) test -run xxx -bench 'BenchmarkAnnotate' -benchtime 2s -count 3 .
 
-# Streaming-layer benchmarks: record-at-a-time decode/encode vs the
-# whole-trace codec, batched vs per-record decode (StreamDecodeBatch vs
-# StreamDecode), and the gen→annotate→sim cell streamed vs in memory
-# (StreamPipeline vs MemPipeline).
+# Streaming-layer benchmarks: record-at-a-time VLT1 decode vs the
+# whole-trace Read (StreamDecode vs MemDecode), and the gen→annotate→sim
+# cell streamed vs in memory (StreamPipeline vs MemPipeline).
 bench-stream:
-	$(GO) test -run xxx -bench 'Stream|MemDecode|MemEncode|MemPipeline' -benchtime 1s ./internal/trace/ ./internal/exp/
+	$(GO) test -run xxx -bench 'Stream|MemDecode|MemPipeline' -benchtime 1s ./internal/trace/ ./internal/exp/
 
 # Repo-benchmark self-test (see perfbench/README.md), run standalone
 # (uncached): every workload at tiny size, its metric names and units
@@ -77,12 +77,14 @@ check-bench:
 	cd perfbench && $(GO) test -count=1 .
 
 # Streaming memory/identity gate, run standalone (uncached): the
-# allocation-regression tests (0 allocs/record on the Reader/Writer/LVP hot
-# paths), the 10M-record peak-RSS bound, and the per-workload differential
-# between the streamed and in-memory pipelines. All of these also run as
+# allocation-regression tests (0 allocs/record on the trace reader, VLT2
+# writer and LVP hot paths), the 10M-record peak-RSS bound on the
+# Writer2 → pipe → Reader2 stream, the VLT1 reader against Read (minimal
+# and padded count headers), and the per-workload differential between the
+# streamed and in-memory pipelines. All of these also run as
 # part of plain `make test` / `make check`.
 check-stream:
-	$(GO) test -count=1 -run 'AllocFree|TestStreamRSS|TestStreamDifferential|TestAnnotatorMatchesAnnotate|TestReaderMatchesRead' ./internal/trace/ ./internal/lvp/ ./internal/exp/
+	$(GO) test -count=1 -run 'AllocFree|TestStreamRSS|TestStreamDifferential|TestAnnotatorMatchesAnnotate|TestReaderMatchesRead|TestPaddedEncodingLayout' ./internal/trace/ ./internal/lvp/ ./internal/exp/
 
 # Hot-path identity and allocation gates, run standalone (uncached): the
 # randomized CVU differential against the linear-scan reference (states,
@@ -117,14 +119,16 @@ check-obs:
 # cross-format differential (records, annotation bytes, and all three
 # machine models' stats byte-identical regardless of format), the
 # hostile-input table (truncated blocks, corrupted checksums, lying header
-# lengths, overlapping index entries — clean errors, never panics), the
-# checked-in fuzz corpus seeds, the random-seek and parallel-width property
-# tests, and the 0-allocs/record gates on the VLT2 batch paths — then the
-# parallel-decode identity property again under the race detector.
+# lengths, overlapping index entries, retired codec bytes — clean errors,
+# never panics), the checked-in fuzz corpus seeds, the random-seek property
+# test, the 0-allocs/record gates on the VLT2 batch paths, and the vltconv
+# tests (VLT1 → VLT2 record identity, in-place conversion refused) — then
+# the seek property again under the race detector.
 check-vlt2:
 	$(GO) test -count=1 -run 'TestVLT2|FuzzVLT2' ./internal/trace/
 	$(GO) test -count=1 -run 'TestFormatDifferential' ./internal/exp/
-	$(GO) test -race -count=1 -short -run 'TestVLT2ParallelWidthsProperty|TestVLT2SeekProperty' ./internal/trace/
+	$(GO) test -count=1 ./cmd/vltconv/
+	$(GO) test -race -count=1 -short -run 'TestVLT2SeekProperty' ./internal/trace/
 
 # Run the experiment daemon locally (see SERVING.md for the API).
 serve:

@@ -6,7 +6,7 @@
 //
 //	lvpasm prog.s                    # assemble + run, print OUT values
 //	lvpasm -target axp -analyze prog.s
-//	lvpasm -trace prog.vlt prog.s    # also write the binary trace
+//	lvpasm -trace prog.vlt2 prog.s   # also write the VLT2 trace
 package main
 
 import (
@@ -28,7 +28,7 @@ func main() {
 	var (
 		target      = flag.String("target", "ppc", "codegen target: ppc or axp")
 		analyze     = flag.Bool("analyze", false, "report locality and LVP behaviour")
-		traceOut    = flag.String("trace", "", "write the binary trace to this file")
+		traceOut    = flag.String("trace", "", "write the VLT2 trace to this file")
 		maxSteps    = flag.Int("maxsteps", 50_000_000, "execution step budget")
 		showVersion = flag.Bool("version", false, "print version and exit")
 	)
@@ -68,7 +68,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		if err := trace.Write(f, tr); err != nil {
+		if err := trace.Write2(f, tr, trace.Writer2Options{}); err != nil {
 			f.Close()
 			fatal(err)
 		}

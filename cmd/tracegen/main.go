@@ -1,15 +1,13 @@
 // Command tracegen builds a benchmark, executes it functionally, and writes
 // its dynamic instruction trace — the counterpart of the paper's
-// TRIP6000/ATOM tracing step (§5). -format selects the on-disk encoding:
-// vlt1 (the original streaming format) or vlt2 (block-structured:
-// compressed, seekable, parallel-decodable); -codec picks the VLT2 block
-// codec.
+// TRIP6000/ATOM tracing step (§5). Records stream from the VM into a VLT2
+// file (block-structured, seekable) as they retire, so memory stays bounded
+// whatever the run length; -codec picks the block codec.
 //
 // Usage:
 //
-//	tracegen -bench grep -target ppc -scale 1 -o grep.ppc.vlt
-//	tracegen -bench grep -format vlt2 -codec flate -o grep.ppc.vlt2
-//	tracegen -bench grep -target ppc -stream -o grep.ppc.vlt   # bounded memory
+//	tracegen -bench grep -target ppc -scale 1 -o grep.ppc.vlt2
+//	tracegen -bench grep -codec flate -o grep.small.vlt2
 //	tracegen -bench grep -scale 64 -pprof localhost:6060 -o /dev/null
 //	tracegen -list
 //
@@ -37,10 +35,8 @@ func main() {
 		benchName   = flag.String("bench", "", "benchmark name (see -list)")
 		target      = flag.String("target", "ppc", "codegen target: ppc or axp")
 		scale       = flag.Int("scale", 1, "run-length multiplier")
-		out         = flag.String("o", "", "output file (default <bench>.<target>.vlt)")
-		stream      = flag.Bool("stream", false, "stream records to the output as the VM executes (bounded memory)")
-		formatName  = flag.String("format", "vlt1", "output trace format: vlt1 or vlt2")
-		codecName   = flag.String("codec", "raw", "vlt2 block codec: raw, flate, fixed, or fixed-flate")
+		out         = flag.String("o", "", "output file (default <bench>.<target>.vlt2)")
+		codecName   = flag.String("codec", "raw", "block codec: raw or flate")
 		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof on this address while generating")
 		list        = flag.Bool("list", false, "list benchmarks and exit")
 		showVersion = flag.Bool("version", false, "print version and exit")
@@ -76,51 +72,19 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	format, err := trace.FormatByName(*formatName)
-	if err != nil {
-		fatal(err)
-	}
 	codec, err := trace.BlockCodecByName(*codecName)
 	if err != nil {
 		fatal(err)
 	}
-	if format == trace.FormatVLT1 && codec != trace.CodecRaw {
-		fatal(fmt.Errorf("-codec applies only to -format vlt2"))
-	}
 	path := *out
 	if path == "" {
-		ext := "vlt"
-		if format == trace.FormatVLT2 {
-			ext = "vlt2"
-		}
-		path = fmt.Sprintf("%s.%s.%s", *benchName, tg.Name, ext)
+		path = fmt.Sprintf("%s.%s.vlt2", *benchName, tg.Name)
 	}
 	f, err := os.Create(path)
 	if err != nil {
 		fatal(err)
 	}
-	var sum trace.Summary
-	var outputs int
-	if *stream {
-		// Stream each record to disk as the VM retires it: memory stays
-		// bounded by the encoder's buffer regardless of run length. The
-		// VLT1 record count is backpatched into the header at Close; VLT2
-		// carries its totals in the footer.
-		sum, outputs, err = streamTrace(f, p, format, codec)
-	} else {
-		var t *trace.Trace
-		var res *vm.Result
-		t, res, err = vm.Run(p, 0)
-		if err == nil {
-			if format == trace.FormatVLT2 {
-				err = trace.Write2(f, t, trace.Writer2Options{Codec: codec})
-			} else {
-				err = trace.Write(f, t)
-			}
-			sum = t.Summarize()
-			outputs = len(res.Output)
-		}
-	}
+	sum, outputs, err := writeTrace(f, p, codec)
 	if err != nil {
 		f.Close()
 		fatal(err)
@@ -132,35 +96,33 @@ func main() {
 		path, sum.Instructions, sum.Loads, outputs)
 }
 
-// streamTrace executes p, encoding each retired record into w on the fly,
-// and returns the streaming summary plus the program's output count.
-func streamTrace(w *os.File, p *prog.Program, format trace.Format, codec trace.BlockCodec) (trace.Summary, int, error) {
+// writeTrace executes p, encoding each batch of retired records into w as
+// it arrives, and returns the trace summary plus the program's output
+// count.
+func writeTrace(w io.Writer, p *prog.Program, codec trace.BlockCodec) (trace.Summary, int, error) {
 	src := vm.NewSource(p, 0)
-	var sw trace.Encoder
-	var err error
-	if format == trace.FormatVLT2 {
-		sw, err = trace.NewWriter2Opts(w, p.Name, p.Target.Name, trace.Writer2Options{Codec: codec})
-	} else {
-		sw, err = trace.NewWriter(w, p.Name, p.Target.Name)
-	}
+	tw, err := trace.NewWriter2Opts(w, p.Name, p.Target.Name, trace.Writer2Options{Codec: codec})
 	if err != nil {
 		return trace.Summary{}, 0, err
 	}
 	z := trace.NewSummarizer(p.Name, p.Target.Name)
+	buf := make([]trace.Record, 1024)
 	for {
-		r, err := src.Next()
+		n, err := src.NextBatch(buf)
+		for i := range buf[:n] {
+			if werr := tw.WriteRecord(&buf[i]); werr != nil {
+				return trace.Summary{}, 0, werr
+			}
+			z.Add(&buf[i])
+		}
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			return trace.Summary{}, 0, err
 		}
-		if err := sw.WriteRecord(r); err != nil {
-			return trace.Summary{}, 0, err
-		}
-		z.Add(r)
 	}
-	if err := sw.Close(); err != nil {
+	if err := tw.Close(); err != nil {
 		return trace.Summary{}, 0, err
 	}
 	return z.Summary(), len(src.Result().Output), nil

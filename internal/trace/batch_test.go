@@ -235,28 +235,3 @@ func TestReaderNextBatchAllocFree(t *testing.T) {
 		t.Fatalf("Reader.NextBatch allocates %v allocs/batch, want 0", avg)
 	}
 }
-
-// BenchmarkStreamDecodeBatch measures the batched VLT1 decode path; its
-// per-record baseline is BenchmarkStreamDecode in stream_test.go, and the
-// ratio is the bench harness's decode_batch_speedup trajectory metric.
-func BenchmarkStreamDecodeBatch(b *testing.B) {
-	enc := encodeTrace(genTrace(1 << 16))
-	b.SetBytes(int64(len(enc)))
-	b.ReportAllocs()
-	buf := make([]Record, 256)
-	for i := 0; i < b.N; i++ {
-		r, err := NewReader(bytes.NewReader(enc))
-		if err != nil {
-			b.Fatal(err)
-		}
-		for {
-			_, err := r.NextBatch(buf)
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}

@@ -8,7 +8,9 @@ import (
 	"io"
 )
 
-// Binary trace format ("VLT1"):
+// Binary trace format ("VLT1"), the original single-stream format. It is
+// read-only here: every command writes VLT2 (vlt2.go), and an existing VLT1
+// file is read once, when vltconv converts it.
 //
 //	magic   [4]byte  "VLT1"
 //	name    uvarint-len + bytes
@@ -20,13 +22,13 @@ import (
 // as signed deltas from the previous record's PC (almost always +4), which
 // keeps typical records to a few bytes.
 //
-// The count field is normally a minimal uvarint; streaming writers that do
-// not know the count up front reserve a padded fixed-width uvarint instead
-// and backpatch it (see Writer). Both decode identically.
+// The count field is normally a minimal uvarint. Files from older streaming
+// writers, which did not know the count up front, carry it as a padded
+// 10-byte uvarint (continuation bit set on the first nine bytes) instead;
+// both decode identically.
 //
-// The encoder and decoder live in stream.go (Writer.WriteRecord and
-// Reader.Next); Read and Write below are the whole-trace convenience layer
-// on top of them.
+// The decoder is Reader.Next (stream.go); Read below materializes a whole
+// trace through it, and Write is the matching reference encoder.
 
 const magic = "VLT1"
 
@@ -50,18 +52,49 @@ var (
 // strings.
 const MaxHeaderString = 1 << 12
 
-// Write encodes t to w in the VLT1 binary format.
+// Write encodes t to w in the VLT1 binary format. No command writes VLT1;
+// Write is the reference encoder whose output the reader's tests and the
+// cross-format differential decode.
 func Write(w io.Writer, t *Trace) error {
-	sw, err := NewWriterCount(w, t.Name, t.Target, uint64(len(t.Records)))
-	if err != nil {
-		return err
-	}
+	bw := bufio.NewWriterSize(w, 1<<16)
+	bw.WriteString(magic)
+	writeString(bw, t.Name)
+	writeString(bw, t.Target)
+	buf := binary.AppendUvarint(nil, uint64(len(t.Records)))
+	bw.Write(buf)
+	var prevPC uint64
 	for i := range t.Records {
-		if err := sw.WriteRecord(&t.Records[i]); err != nil {
-			return err
+		r := &t.Records[i]
+		var flags byte
+		if r.IsLoad() || r.IsStore() {
+			flags |= flagMem
+		} else if r.Value != 0 {
+			flags |= flagVal
 		}
+		if r.Taken {
+			flags |= flagTaken
+		}
+		if r.IsBranch() {
+			flags |= flagTarg
+		}
+		buf = append(buf[:0], flags, byte(r.Op), byte(r.Rd), byte(r.Ra), byte(r.Rb), byte(r.Class))
+		buf = binary.AppendVarint(buf, int64(r.PC-prevPC))
+		prevPC = r.PC
+		buf = binary.AppendVarint(buf, r.Imm)
+		if flags&flagMem != 0 {
+			buf = append(buf, r.Size)
+			buf = binary.AppendUvarint(buf, r.Addr)
+			buf = binary.AppendUvarint(buf, r.Value)
+		}
+		if flags&flagVal != 0 {
+			buf = binary.AppendUvarint(buf, r.Value)
+		}
+		if flags&flagTarg != 0 {
+			buf = binary.AppendUvarint(buf, r.Targ)
+		}
+		bw.Write(buf)
 	}
-	return sw.Close()
+	return bw.Flush()
 }
 
 // Read decodes a VLT1 trace from r.
@@ -93,12 +126,6 @@ func writeString(bw *bufio.Writer, s string) {
 	n := binary.PutUvarint(buf[:], uint64(len(s)))
 	bw.Write(buf[:n])
 	bw.WriteString(s)
-}
-
-func writeUvarint(bw *bufio.Writer, v uint64) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	bw.Write(buf[:n])
 }
 
 func readString(br *bufio.Reader) (string, error) {

@@ -40,8 +40,9 @@ func encodeTrace(t *Trace) []byte {
 //  2. any trace Read accepts is canonical: decode(encode(decode(x))) ==
 //     decode(x), record for record.
 //
-// The seed corpus covers a valid encoding of every record shape plus the
-// malformed prefixes the decoder's error paths care about.
+// The seed corpus covers a valid encoding of every record shape, the padded
+// count field of older streaming writers, and the malformed prefixes the
+// decoder's error paths care about.
 func FuzzRoundTrip(f *testing.F) {
 	valid := encodeTrace(fuzzSeedTrace())
 	f.Add(valid)
@@ -52,6 +53,8 @@ func FuzzRoundTrip(f *testing.F) {
 	f.Add(valid[:len(valid)-3])                                                               // truncated mid-record
 	f.Add(append([]byte("VLT1"), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01)) // huge name length
 	f.Add(append(bytes.Clone(valid), 0xAA))                                                   // trailing garbage (ignored)
+	f.Add(padCount(fuzzSeedTrace()))                                                          // padded 10-byte count
+	f.Add(padCount(genTrace(17)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := Read(bytes.NewReader(data))

@@ -7,37 +7,6 @@ import (
 	"os"
 )
 
-// Format identifies a trace file format.
-type Format uint8
-
-const (
-	// FormatVLT1 is the original streaming format (codec.go).
-	FormatVLT1 Format = 1
-	// FormatVLT2 is the block-structured format (vlt2.go).
-	FormatVLT2 Format = 2
-)
-
-func (f Format) String() string {
-	switch f {
-	case FormatVLT1:
-		return "vlt1"
-	case FormatVLT2:
-		return "vlt2"
-	}
-	return fmt.Sprintf("Format(%d)", uint8(f))
-}
-
-// FormatByName resolves a format flag value ("vlt1" or "vlt2").
-func FormatByName(name string) (Format, error) {
-	switch name {
-	case "vlt1":
-		return FormatVLT1, nil
-	case "vlt2":
-		return FormatVLT2, nil
-	}
-	return 0, fmt.Errorf("trace: unknown format %q (want vlt1 or vlt2)", name)
-}
-
 // Decoder is the format-independent streaming read seam: both the VLT1
 // Reader and the VLT2 readers satisfy it, so every consumer of trace files
 // works on either format. Count is the header/index record count when the
@@ -51,17 +20,9 @@ type Decoder interface {
 	Source
 }
 
-// Encoder is the format-independent streaming write seam, satisfied by the
-// VLT1 Writer and the VLT2 Writer2.
-type Encoder interface {
-	WriteRecord(*Record) error
-	Count() uint64
-	Close() error
-}
-
 // Open auto-detects the stream's format on its magic bytes and returns the
 // matching sequential Decoder. Any io.Reader works — pipes included; use
-// OpenFile to get seeking and parallel decode on VLT2 files.
+// OpenFile to get seeking and zero-copy block access on VLT2 files.
 func Open(r io.Reader) (Decoder, error) {
 	br, ok := r.(*bufio.Reader)
 	if !ok {
@@ -81,8 +42,8 @@ func Open(r io.Reader) (Decoder, error) {
 }
 
 // OpenFile auto-detects f's format and returns the strongest Decoder the
-// format supports: an IndexedReader for VLT2 (O(1) seeking, parallel
-// decode, zero-copy block access) or a streaming Reader for VLT1. The file
+// format supports: an IndexedReader for VLT2 (O(log blocks) seeking,
+// zero-copy block access) or a streaming Reader for VLT1. The file
 // must stay open while the Decoder is in use; if the Decoder implements
 // io.Closer (the indexed reader does, to release its mapping), close it
 // before closing f.
@@ -105,23 +66,6 @@ func OpenFile(f *os.File) (Decoder, error) {
 		return NewIndexedReader(f, st.Size())
 	}
 	return nil, ErrBadMagic
-}
-
-// NewEncoder returns a streaming Encoder writing the requested format with
-// that format's defaults. VLT1 needs the record count up front unless w is
-// seekable (see NewWriter); count < 0 means unknown. VLT2 ignores count —
-// its totals live in the footer.
-func NewEncoder(w io.Writer, format Format, name, target string, count int64) (Encoder, error) {
-	switch format {
-	case FormatVLT1:
-		if count < 0 {
-			return NewWriter(w, name, target)
-		}
-		return NewWriterCount(w, name, target, uint64(count))
-	case FormatVLT2:
-		return NewWriter2(w, name, target)
-	}
-	return nil, fmt.Errorf("trace: unknown format %v", format)
 }
 
 // ReadAll drains d into an in-memory Trace.

@@ -44,9 +44,9 @@ func vmHWMKB(t *testing.T) int64 {
 	return 0
 }
 
-// TestStreamRSS is the bounded-memory gate for the tentpole: a synthetic
-// 10M-record trace is encoded by the streaming Writer into a pipe and
-// decoded by the streaming Reader on the other end, and the process peak
+// TestStreamRSS is the bounded-memory gate for the streaming trace path: a
+// synthetic 10M-record trace is encoded by the VLT2 Writer2 into a pipe and
+// decoded by the sequential Reader2 on the other end, and the process peak
 // RSS must stay far below what materializing the trace would cost. A
 // regression that buffers the stream anywhere (writer, pipe, reader, or an
 // accumulator that grows per record) trips the bound.
@@ -64,7 +64,7 @@ func TestStreamRSS(t *testing.T) {
 	go func() {
 		defer pw.Close()
 		werr <- func() error {
-			sw, err := NewWriterCount(pw, "rss", "ppc", streamRSSRecords)
+			sw, err := NewWriter2Opts(pw, "rss", "ppc", Writer2Options{})
 			if err != nil {
 				return err
 			}
@@ -80,9 +80,9 @@ func TestStreamRSS(t *testing.T) {
 		}()
 	}()
 
-	sr, err := NewReader(bufio.NewReaderSize(pr, 1<<16))
+	sr, err := NewReader2(bufio.NewReaderSize(pr, 1<<16))
 	if err != nil {
-		t.Fatalf("NewReader: %v", err)
+		t.Fatalf("NewReader2: %v", err)
 	}
 	z := NewSummarizer(sr.Name(), sr.Target())
 	n := 0
@@ -100,8 +100,8 @@ func TestStreamRSS(t *testing.T) {
 	if err := <-werr; err != nil {
 		t.Fatalf("writer: %v", err)
 	}
-	if n != streamRSSRecords {
-		t.Fatalf("decoded %d records, want %d", n, streamRSSRecords)
+	if n != streamRSSRecords || sr.Count() != streamRSSRecords {
+		t.Fatalf("decoded %d records (footer count %d), want %d", n, sr.Count(), streamRSSRecords)
 	}
 	if got := z.Summary().Instructions; got != streamRSSRecords {
 		t.Fatalf("summarizer saw %d instructions, want %d", got, streamRSSRecords)

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"io"
-	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -60,41 +58,24 @@ func genTrace(n int) *Trace {
 	return t
 }
 
-// memWriterAt is an in-memory io.Writer + io.WriterAt: appends on Write,
-// overwrites on WriteAt. It lets tests exercise the Writer's backpatch path
-// without a file.
-type memWriterAt struct{ b []byte }
-
-func (m *memWriterAt) Write(p []byte) (int, error) {
-	m.b = append(m.b, p...)
-	return len(p), nil
-}
-
-func (m *memWriterAt) WriteAt(p []byte, off int64) (int, error) {
-	if off < 0 || int(off)+len(p) > len(m.b) {
-		return 0, errors.New("memWriterAt: write outside written region")
+// padCount encodes t as VLT1 with the record count stored as a maximally
+// padded 10-byte uvarint (continuation bit set on the first nine bytes) —
+// the header layout older streaming writers left behind when they
+// backpatched the count at Close. No writer emits it, but readers must
+// keep accepting such files.
+func padCount(t *Trace) []byte {
+	minimal := encodeTrace(t)
+	hdr := len(magic) +
+		uvarintLen(uint64(len(t.Name))) + len(t.Name) +
+		uvarintLen(uint64(len(t.Target))) + len(t.Target)
+	out := bytes.Clone(minimal[:hdr])
+	v := uint64(len(t.Records))
+	for i := 0; i < 9; i++ {
+		out = append(out, byte(v&0x7f)|0x80)
+		v >>= 7
 	}
-	copy(m.b[off:], p)
-	return len(p), nil
-}
-
-// encodePadded encodes t with the unknown-count streaming Writer, so the
-// count field is the padded fixed-width form.
-func encodePadded(t *Trace) []byte {
-	var m memWriterAt
-	sw, err := NewWriter(&m, t.Name, t.Target)
-	if err != nil {
-		panic(err)
-	}
-	for i := range t.Records {
-		if err := sw.WriteRecord(&t.Records[i]); err != nil {
-			panic(err)
-		}
-	}
-	if err := sw.Close(); err != nil {
-		panic(err)
-	}
-	return m.b
+	out = append(out, byte(v))
+	return append(out, minimal[hdr+uvarintLen(uint64(len(t.Records))):]...)
 }
 
 // decodeStream drains a Reader into a Trace, the long way around, so tests
@@ -128,7 +109,7 @@ func TestReaderMatchesRead(t *testing.T) {
 		data []byte
 	}{
 		{"minimal count", encodeTrace(want)},
-		{"padded count", encodePadded(want)},
+		{"padded count", padCount(want)},
 	} {
 		t.Run(enc.name, func(t *testing.T) {
 			ref, err := Read(bytes.NewReader(enc.data))
@@ -158,216 +139,35 @@ func TestReaderMatchesRead(t *testing.T) {
 	}
 }
 
-// TestPaddedEncodingLayout pins that the padded-count encoding differs from
-// the minimal one only in the width of the count field: same header before
-// it, byte-identical record stream after it.
+// TestPaddedEncodingLayout pins that a VLT1 header whose record count is
+// the padded 10-byte uvarint decodes exactly like the minimal one: same
+// count, same records. Older streaming writers wrote that layout, and their
+// files must stay readable. It also pins the layout itself: the padded file
+// differs from the minimal one only in the count field.
 func TestPaddedEncodingLayout(t *testing.T) {
 	tr := genTrace(321)
 	minimal := encodeTrace(tr)
-	padded := encodePadded(tr)
-	headerLen := len(magic) +
-		uvarintLen(uint64(len(tr.Name))) + len(tr.Name) +
-		uvarintLen(uint64(len(tr.Target))) + len(tr.Target)
+	padded := padCount(tr)
+	hdr := len(magic) + 1 + len(tr.Name) + 1 + len(tr.Target)
 	minCount := uvarintLen(uint64(len(tr.Records)))
-	if !bytes.Equal(minimal[:headerLen], padded[:headerLen]) {
+	if !bytes.Equal(minimal[:hdr], padded[:hdr]) {
 		t.Fatal("headers before the count field differ")
 	}
-	if !bytes.Equal(minimal[headerLen+minCount:], padded[headerLen+countFieldWidth:]) {
+	// 321 = 2<<7 | 0x41: groups 0x41 and 2, seven empty groups, then a
+	// zero final byte; all but the final byte carry the continuation bit.
+	wantCount := []byte{0xc1, 0x82, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00}
+	if !bytes.Equal(padded[hdr:hdr+10], wantCount) {
+		t.Fatalf("count field % x, want % x", padded[hdr:hdr+10], wantCount)
+	}
+	if !bytes.Equal(minimal[hdr+minCount:], padded[hdr+10:]) {
 		t.Fatal("record streams after the count field differ")
 	}
-	if len(padded)-len(minimal) != countFieldWidth-minCount {
-		t.Fatalf("padded is %d bytes longer, want %d", len(padded)-len(minimal), countFieldWidth-minCount)
+	sr, got := decodeStream(t, padded)
+	if sr.Count() != uint64(len(tr.Records)) {
+		t.Fatalf("Count() = %d, want %d", sr.Count(), len(tr.Records))
 	}
-}
-
-// TestWriterCountByteIdentical pins that the known-count streaming Writer
-// produces byte-for-byte the same output as the whole-trace Write.
-func TestWriterCountByteIdentical(t *testing.T) {
-	tr := genTrace(500)
-	var buf bytes.Buffer
-	sw, err := NewWriterCount(&buf, tr.Name, tr.Target, uint64(len(tr.Records)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range tr.Records {
-		if err := sw.WriteRecord(&tr.Records[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := sw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if sw.Count() != uint64(len(tr.Records)) {
-		t.Fatalf("Count()=%d, want %d", sw.Count(), len(tr.Records))
-	}
-	if !bytes.Equal(buf.Bytes(), encodeTrace(tr)) {
-		t.Fatal("NewWriterCount output is not byte-identical to Write")
-	}
-}
-
-// writeSeekerOnly hides an *os.File's WriteAt so the Writer's Close must
-// take the io.WriteSeeker backpatch path.
-type writeSeekerOnly struct{ f *os.File }
-
-func (s writeSeekerOnly) Write(p []byte) (int, error)               { return s.f.Write(p) }
-func (s writeSeekerOnly) Seek(off int64, whence int) (int64, error) { return s.f.Seek(off, whence) }
-
-// TestStreamWriterBackpatch covers the unknown-count Writer against every
-// backpatch capability: io.WriterAt (*os.File directly), io.WriteSeeker
-// (file behind a seek-only wrapper), and neither (ErrNotSeekable).
-func TestStreamWriterBackpatch(t *testing.T) {
-	tr := genTrace(777)
-	writeAll := func(t *testing.T, w io.Writer) *Writer {
-		t.Helper()
-		sw, err := NewWriter(w, tr.Name, tr.Target)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range tr.Records {
-			if err := sw.WriteRecord(&tr.Records[i]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return sw
-	}
-	check := func(t *testing.T, path string) {
-		t.Helper()
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := Read(bytes.NewReader(data))
-		if err != nil {
-			t.Fatalf("decoding backpatched file: %v", err)
-		}
-		if got.Name != tr.Name || got.Target != tr.Target || !reflect.DeepEqual(got.Records, tr.Records) {
-			t.Fatal("backpatched file does not decode to the source trace")
-		}
-	}
-
-	t.Run("writerAt", func(t *testing.T) {
-		path := filepath.Join(t.TempDir(), "wa.vlt")
-		f, err := os.Create(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer f.Close()
-		sw := writeAll(t, f)
-		if err := sw.Close(); err != nil {
-			t.Fatalf("Close: %v", err)
-		}
-		check(t, path)
-	})
-
-	t.Run("writeSeeker", func(t *testing.T) {
-		path := filepath.Join(t.TempDir(), "ws.vlt")
-		f, err := os.Create(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer f.Close()
-		sw := writeAll(t, writeSeekerOnly{f})
-		if err := sw.Close(); err != nil {
-			t.Fatalf("Close: %v", err)
-		}
-		// After Close the file offset must be back at the end, so a caller
-		// appending (or stat'ing size) sees the whole stream.
-		off, err := f.Seek(0, io.SeekCurrent)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fi, err := f.Stat()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if off != fi.Size() {
-			t.Fatalf("offset after Close = %d, want file size %d", off, fi.Size())
-		}
-		check(t, path)
-	})
-
-	t.Run("notSeekable", func(t *testing.T) {
-		var buf bytes.Buffer
-		sw := writeAll(t, &buf)
-		if err := sw.Close(); !errors.Is(err, ErrNotSeekable) {
-			t.Fatalf("Close = %v, want ErrNotSeekable", err)
-		}
-	})
-}
-
-// TestWriterCountMismatch pins the promised-count contract: Close fails
-// with ErrCountMismatch when the writer lied about the record count, in
-// either direction.
-func TestWriterCountMismatch(t *testing.T) {
-	tr := genTrace(5)
-	for _, tc := range []struct {
-		name    string
-		promise uint64
-		write   int
-	}{
-		{"fewer than promised", 5, 3},
-		{"more than promised", 2, 5},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			var buf bytes.Buffer
-			sw, err := NewWriterCount(&buf, tr.Name, tr.Target, tc.promise)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < tc.write; i++ {
-				if err := sw.WriteRecord(&tr.Records[i]); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := sw.Close(); !errors.Is(err, ErrCountMismatch) {
-				t.Fatalf("Close = %v, want ErrCountMismatch", err)
-			}
-			// The mismatch is sticky.
-			if err := sw.Close(); !errors.Is(err, ErrCountMismatch) {
-				t.Fatalf("second Close = %v, want ErrCountMismatch", err)
-			}
-		})
-	}
-}
-
-// failAfterWriter errors once limit bytes have been written, modelling a
-// full disk mid-stream.
-type failAfterWriter struct {
-	limit int
-	n     int
-}
-
-var errDiskFull = errors.New("disk full")
-
-func (f *failAfterWriter) Write(p []byte) (int, error) {
-	if f.n+len(p) > f.limit {
-		return 0, errDiskFull
-	}
-	f.n += len(p)
-	return len(p), nil
-}
-
-// TestWriterStickyError pins that an underlying write failure surfaces from
-// WriteRecord (not silently swallowed by buffering) and stays sticky for
-// every later call including Close.
-func TestWriterStickyError(t *testing.T) {
-	tr := genTrace(64)
-	sw, err := NewWriterCount(&failAfterWriter{limit: 1 << 16}, tr.Name, tr.Target, 1<<40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var werr error
-	for i := 0; i < 1<<20 && werr == nil; i++ {
-		werr = sw.WriteRecord(&tr.Records[i%len(tr.Records)])
-	}
-	if !errors.Is(werr, errDiskFull) {
-		t.Fatalf("WriteRecord never surfaced the write error (got %v)", werr)
-	}
-	if err := sw.WriteRecord(&tr.Records[0]); !errors.Is(err, errDiskFull) {
-		t.Fatalf("WriteRecord after failure = %v, want sticky error", err)
-	}
-	if err := sw.Close(); !errors.Is(err, errDiskFull) {
-		t.Fatalf("Close after failure = %v, want sticky error", err)
+	if got.Name != tr.Name || got.Target != tr.Target || !reflect.DeepEqual(got.Records, tr.Records) {
+		t.Fatal("padded-count file does not decode to the source trace")
 	}
 }
 
@@ -428,16 +228,17 @@ func writeUvarintBuf(buf *bytes.Buffer, v uint64) {
 	}
 }
 
-// FuzzStreamRoundTrip is the streaming-layer twin of FuzzRoundTrip: the
-// record-at-a-time Reader must never panic on arbitrary bytes, and any
-// stream it fully decodes must re-encode (via the streaming Writer) to a
-// stream that decodes to the same records.
+// FuzzStreamRoundTrip feeds arbitrary bytes to the record-at-a-time
+// Reader. Any trace it fully decodes is re-encoded with the padded 10-byte
+// count of older streaming writers and decoded again through the Reader;
+// the header and every record must come back unchanged. FuzzRoundTrip
+// checks the same canonicality through Read and the minimal count.
 func FuzzStreamRoundTrip(f *testing.F) {
 	valid := encodeTrace(fuzzSeedTrace())
 	f.Add(valid)
-	f.Add(encodePadded(fuzzSeedTrace()))
+	f.Add(padCount(fuzzSeedTrace()))
 	f.Add(encodeTrace(&Trace{Name: "empty", Target: "axp"}))
-	f.Add(encodePadded(genTrace(17)))
+	f.Add(padCount(genTrace(17)))
 	f.Add([]byte{})
 	f.Add([]byte("VLT0"))
 	f.Add([]byte("VLT1"))
@@ -450,7 +251,7 @@ func FuzzStreamRoundTrip(f *testing.F) {
 		if err != nil {
 			return
 		}
-		var recs []Record
+		tr := &Trace{Name: sr.Name(), Target: sr.Target()}
 		for {
 			rec, err := sr.Next()
 			if err == io.EOF {
@@ -459,32 +260,21 @@ func FuzzStreamRoundTrip(f *testing.F) {
 			if err != nil {
 				return // malformed record rejected; that is the contract
 			}
-			recs = append(recs, *rec)
+			tr.Records = append(tr.Records, *rec)
 		}
-		// Fully decoded: stream it back out and decode again.
-		var buf bytes.Buffer
-		sw, err := NewWriterCount(&buf, sr.Name(), sr.Target(), uint64(len(recs)))
-		if err != nil {
-			t.Fatalf("NewWriterCount: %v", err)
+		sr2, got := decodeStream(t, padCount(tr))
+		if sr2.Count() != uint64(len(tr.Records)) {
+			t.Fatalf("padded Count() = %d, want %d", sr2.Count(), len(tr.Records))
 		}
-		for i := range recs {
-			if err := sw.WriteRecord(&recs[i]); err != nil {
-				t.Fatalf("WriteRecord %d: %v", i, err)
-			}
+		if got.Name != tr.Name || got.Target != tr.Target {
+			t.Fatalf("header drift: %q/%q -> %q/%q", tr.Name, tr.Target, got.Name, got.Target)
 		}
-		if err := sw.Close(); err != nil {
-			t.Fatalf("Close: %v", err)
+		if len(got.Records) != len(tr.Records) {
+			t.Fatalf("record count drift: %d -> %d", len(tr.Records), len(got.Records))
 		}
-		sr2, got := decodeStream(t, buf.Bytes())
-		if sr2.Name() != sr.Name() || sr2.Target() != sr.Target() {
-			t.Fatalf("header drift: %q/%q -> %q/%q", sr.Name(), sr.Target(), sr2.Name(), sr2.Target())
-		}
-		if len(got.Records) != len(recs) {
-			t.Fatalf("record count drift: %d -> %d", len(recs), len(got.Records))
-		}
-		for i := range recs {
-			if !reflect.DeepEqual(recs[i], got.Records[i]) {
-				t.Fatalf("record %d drift:\n got %+v\nwant %+v", i, got.Records[i], recs[i])
+		for i := range tr.Records {
+			if !reflect.DeepEqual(tr.Records[i], got.Records[i]) {
+				t.Fatalf("record %d drift:\n got %+v\nwant %+v", i, got.Records[i], tr.Records[i])
 			}
 		}
 	})
@@ -519,34 +309,6 @@ func TestReaderNextAllocFree(t *testing.T) {
 	}
 }
 
-// TestWriterWriteRecordAllocFree is the encode-side twin: WriteRecord must
-// not allocate per record.
-func TestWriterWriteRecordAllocFree(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are not meaningful under the race detector")
-	}
-	recs := genTrace(64).Records
-	sw, err := NewWriterCount(io.Discard, "gen", "ppc", 1<<40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	i := 0
-	for ; i < 16; i++ { // warm up
-		if err := sw.WriteRecord(&recs[i%len(recs)]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	avg := testing.AllocsPerRun(4096, func() {
-		if err := sw.WriteRecord(&recs[i%len(recs)]); err != nil {
-			t.Fatal(err)
-		}
-		i++
-	})
-	if avg != 0 {
-		t.Fatalf("Writer.WriteRecord allocates %.2f objects/record, want 0", avg)
-	}
-}
-
 // BenchmarkStreamDecode measures the record-at-a-time decode hot path;
 // BenchmarkMemDecode is the whole-trace Read baseline on the same bytes.
 func BenchmarkStreamDecode(b *testing.B) {
@@ -576,39 +338,6 @@ func BenchmarkMemDecode(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Read(bytes.NewReader(data)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkStreamEncode measures the record-at-a-time encode hot path;
-// BenchmarkMemEncode is the whole-trace Write baseline.
-func BenchmarkStreamEncode(b *testing.B) {
-	tr := genTrace(1 << 16)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sw, err := NewWriterCount(io.Discard, tr.Name, tr.Target, uint64(len(tr.Records)))
-		if err != nil {
-			b.Fatal(err)
-		}
-		for j := range tr.Records {
-			if err := sw.WriteRecord(&tr.Records[j]); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if err := sw.Close(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkMemEncode(b *testing.B) {
-	tr := genTrace(1 << 16)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := Write(io.Discard, tr); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -2,23 +2,40 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"hash/crc32"
 	"io"
 	"reflect"
+	"strings"
 	"testing"
 )
 
-// fuzzCodecs covers every codec and an awkward block size, so the fuzz and
-// hostile-input gates exercise each decode path (varint, fixed, flate, and
+// fuzzCodecs covers both codecs and an awkward block size, so the fuzz and
+// hostile-input gates exercise each decode path (raw, flate, and
 // multi-block boundaries).
 var fuzzCodecs = []Writer2Options{
 	{},
 	{Codec: CodecFlate},
-	{Codec: CodecFixed},
-	{Codec: CodecFixedFlate},
 	{BlockRecords: 7},
-	{Codec: CodecFixed, BlockRecords: 7},
+	{Codec: CodecFlate, BlockRecords: 7},
+}
+
+// retiredCodecs are the codec bytes of the removed fixed-width codecs.
+var retiredCodecs = []BlockCodec{2, 3}
+
+// setCodecByte returns a copy of enc with the codec byte of the block at
+// off replaced by c. The block CRC is left stale: header validation rejects
+// an unsupported codec before the checksum is computed.
+func setCodecByte(enc []byte, off uint64, c BlockCodec) []byte {
+	m := bytes.Clone(enc)
+	pos := int(off) + 1 // past the kind byte
+	for range 2 {       // count, rawLen
+		_, k := binary.Uvarint(m[pos:])
+		pos += k
+	}
+	m[pos] = byte(c)
+	return m
 }
 
 func encodeVLT2(tr *Trace, opts Writer2Options) []byte {
@@ -61,6 +78,11 @@ func FuzzVLT2RoundTrip(f *testing.F) {
 	for _, opts := range fuzzCodecs {
 		f.Add(encodeVLT2(seed, opts))
 	}
+	// A block carrying a retired codec byte: rejected on both paths.
+	firstBlock := uint64(len(magic2) + 1 + 1 + len(seed.Name) + 1 + len(seed.Target))
+	for _, c := range retiredCodecs {
+		f.Add(setCodecByte(encodeVLT2(seed, Writer2Options{}), firstBlock, c))
+	}
 	f.Add(encodeVLT2(&Trace{Name: "empty", Target: "axp"}, Writer2Options{}))
 	valid := encodeVLT2(seed, Writer2Options{BlockRecords: 64})
 	f.Add([]byte{})
@@ -96,9 +118,9 @@ func FuzzVLT2RoundTrip(f *testing.F) {
 			t.Fatal("indexed and sequential decode disagree on accepted input")
 		}
 		// Canonicality: accepted input must survive a re-encode round trip
-		// under each distinct payload codec.
+		// under each codec and block size.
 		tr := &Trace{Name: sr.Name(), Target: sr.Target(), Records: srecs}
-		for _, opts := range fuzzCodecs[:3] {
+		for _, opts := range fuzzCodecs {
 			re, err := NewReader2(bytes.NewReader(encodeVLT2(tr, opts)))
 			if err != nil {
 				t.Fatalf("re-encode (%v) rejected: %v", opts, err)
@@ -146,7 +168,6 @@ func TestVLT2Hostile(t *testing.T) {
 		opts Writer2Options
 	}{
 		{"varint", Writer2Options{BlockRecords: 64}},
-		{"fixed", Writer2Options{Codec: CodecFixed, BlockRecords: 64}},
 		{"flate", Writer2Options{Codec: CodecFlate, BlockRecords: 64}},
 	} {
 		t.Run(base.name, func(t *testing.T) {
@@ -225,6 +246,33 @@ func TestVLT2Hostile(t *testing.T) {
 					} else if tc.want != nil && !errors.Is(err, tc.want) {
 						t.Fatalf("sequential error %v does not unwrap to %v", err, tc.want)
 					}
+				})
+			}
+
+			// A block whose codec byte names a retired fixed-width codec
+			// must fail as corrupt, with the codec named, on both paths.
+			for _, c := range retiredCodecs {
+				name := removedCodecs[c]
+				t.Run("codec-"+name, func(t *testing.T) {
+					data := setCodecByte(enc, idx[1].off, c)
+					check := func(path string, err error) {
+						t.Helper()
+						if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "("+name+")") {
+							t.Fatalf("%s reader: error %v, want ErrCorrupt naming %q", path, err, name)
+						}
+					}
+					ir, err := NewIndexedReaderBytes(data)
+					if err != nil {
+						t.Fatal(err)
+					}
+					_, err = decodeAllVLT2(ir)
+					check("indexed", err)
+					sr, err := NewReader2(bytes.NewReader(data))
+					if err != nil {
+						t.Fatal(err)
+					}
+					_, err = decodeAllVLT2(sr)
+					check("sequential", err)
 				})
 			}
 		})

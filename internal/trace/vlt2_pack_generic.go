@@ -16,7 +16,3 @@ func storeRecTail(r *Record, op, rd, ra, rb, class, size, taken uint8) {
 	r.Size = size
 	r.Taken = taken != 0
 }
-
-// recordBytes reports that CodecFixed payloads cannot bulk-copy into Record
-// memory on this platform; the decoder falls back to per-field stores.
-func recordBytes(buf []Record) []byte { return nil }

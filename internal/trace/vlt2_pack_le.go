@@ -15,30 +15,13 @@ func storeRecTail(r *Record, op, rd, ra, rb, class, size, taken uint8) {
 		uint64(rb)<<24 | uint64(class)<<32 | uint64(size)<<40 | uint64(taken)<<48
 }
 
-// recordBytes returns buf's backing memory as a byte slice, letting a
-// CodecFixed payload — whose wire layout mirrors Record exactly on
-// little-endian machines — decode as one bulk copy. The generic build
-// returns nil and decodes field by field.
-func recordBytes(buf []Record) []byte {
-	if len(buf) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*byte)(unsafe.Pointer(&buf[0])), len(buf)*fixedRecSize2)
-}
-
 // The packed store requires Op..Taken contiguous at an 8-byte-aligned offset
-// with Targ in the following word (so the padding byte it overwrites is
-// really padding), and recordBytes requires the whole struct to match the
-// CodecFixed wire layout. Verified at init: a violation panics before any
-// test or binary gets further.
+// with Targ in the following word, so the padding byte it overwrites is
+// really padding. Verified at init: a violation panics before any test or
+// binary gets further.
 func init() {
 	var r Record
-	if unsafe.Sizeof(r) != fixedRecSize2 ||
-		unsafe.Offsetof(r.PC) != 0 ||
-		unsafe.Offsetof(r.Addr) != 8 ||
-		unsafe.Offsetof(r.Value) != 16 ||
-		unsafe.Offsetof(r.Imm) != 24 ||
-		unsafe.Offsetof(r.Op) != 32 ||
+	if unsafe.Offsetof(r.Op) != 32 ||
 		unsafe.Offsetof(r.Rd) != 33 ||
 		unsafe.Offsetof(r.Ra) != 34 ||
 		unsafe.Offsetof(r.Rb) != 35 ||
@@ -46,6 +29,6 @@ func init() {
 		unsafe.Offsetof(r.Size) != 37 ||
 		unsafe.Offsetof(r.Taken) != 38 ||
 		unsafe.Offsetof(r.Targ) != 40 {
-		panic("trace: Record layout changed; update storeRecTail and recordBytes (vlt2_pack_le.go)")
+		panic("trace: Record layout changed; update storeRecTail (vlt2_pack_le.go)")
 	}
 }

@@ -102,9 +102,6 @@ func TestVLT2RoundTrip(t *testing.T) {
 	}{
 		{"raw", 10000, Writer2Options{}},
 		{"flate", 10000, Writer2Options{Codec: CodecFlate}},
-		{"fixed", 10000, Writer2Options{Codec: CodecFixed}},
-		{"fixed-flate", 10000, Writer2Options{Codec: CodecFixedFlate}},
-		{"fixed-tiny-blocks", 1000, Writer2Options{Codec: CodecFixed, BlockRecords: 7}},
 		{"tiny-blocks", 1000, Writer2Options{BlockRecords: 7}},
 		{"one-block", 100, Writer2Options{BlockRecords: 4096}},
 		{"single-record", 1, Writer2Options{}},

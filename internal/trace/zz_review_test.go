@@ -11,7 +11,7 @@ import (
 // the contiguity cursor, to see whether open/stageBlock panics.
 func TestReviewFooterSizeOverflow(t *testing.T) {
 	var buf bytes.Buffer
-	w, err := NewWriter2(&buf, "n", "t")
+	w, err := NewWriter2Opts(&buf, "n", "t", Writer2Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
