@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build check test vet race race-full fuzz bench bench-obs bench-stream check-bench check-stream check-perf check-zoo check-obs serve check-serve check-dist check-vlt2 verify clean
+.PHONY: all build check test vet race race-full fuzz bench bench-obs bench-stream check-bench check-stream check-perf check-zoo check-obs serve check-serve check-vlt2 verify clean
 
 all: build
 
@@ -26,7 +26,7 @@ vet:
 		echo "gofmt needed on:"; echo "$$fmt_out"; exit 1; \
 	fi
 
-check: build vet test race check-perf check-zoo check-obs check-dist check-vlt2 check-bench
+check: build vet test race check-perf check-zoo check-obs check-serve check-vlt2 check-bench
 
 # Race-detector pass over every package. -short skips the golden
 # double-render (TestGoldenSerialVsParallel), which the detector slows by an
@@ -42,14 +42,16 @@ race:
 race-full:
 	$(GO) test -race -timeout 30m ./...
 
-# Short fuzz sessions over the trace codecs: the VLT1 round-trip property
+# Short fuzz sessions over the input surfaces: the VLT1 round-trip property
 # through Read and through the streaming Reader (minimal and padded count
-# headers), and the VLT2 block-codec round-trip (both decode paths, both
-# codecs).
+# headers), the VLT2 block-codec round-trip (both decode paths, both
+# codecs), and the lvpd job-spec decoder (decode → validate → cells never
+# panics; accepted specs stay in bounds and round-trip to the same cells).
 fuzz:
 	$(GO) test -fuzz='FuzzRoundTrip$$' -fuzztime=30s ./internal/trace/
 	$(GO) test -fuzz='FuzzStreamRoundTrip$$' -fuzztime=30s ./internal/trace/
 	$(GO) test -fuzz='FuzzVLT2RoundTrip$$' -fuzztime=30s ./internal/trace/
+	$(GO) test -fuzz='FuzzJobSpec$$' -fuzztime=30s ./internal/serve/
 
 # Experiment-engine benchmarks: compare ExpAllSerial vs ExpAllParallel for
 # the worker-pool speedup.
@@ -134,22 +136,14 @@ check-vlt2:
 serve:
 	$(GO) run ./cmd/lvpd -addr :8347
 
-# Serving-layer gate: the lvpd job manager, HTTP API, and client — including
-# the byte-identity, drain, backpressure, and cancellation tests — under the
-# race detector.
+# Serving-layer gate, run standalone (uncached) under the race detector:
+# the lvpd job manager, HTTP API, and client — byte-identity, drain,
+# backpressure, cancellation, spec validation, the readiness body and the
+# jittered-backoff bounds — plus the content-addressed result store (LRU,
+# disk persistence, and the restart-hit acceptance test: a repeat job after
+# a restart computes nothing and streams the same bytes).
 check-serve:
-	$(GO) test -race -count=1 ./internal/serve/ ./client/
-
-# Distributed-mode gate, run standalone (uncached) under the race detector:
-# a coordinator fronting two in-process workers must stream NDJSON
-# byte-identical to a single-node daemon — including with a worker killed
-# mid-job (failover + goroutine-leak check) — plus the content-addressed
-# store (LRU, disk persistence, restart-hit acceptance), the /v1/cells
-# worker endpoint, readiness-body placement inputs, per-tenant admission,
-# and the jittered-backoff distribution bounds in the client.
-check-dist:
-	$(GO) test -race -count=1 ./internal/dist/
-	$(GO) test -race -count=1 -run 'TestExecCell|TestReadyz|TestTenant|TestStore|TestCellValidate|TestJitter|TestReadinessDecodes' ./internal/serve/ ./client/
+	$(GO) test -race -count=1 ./internal/serve/ ./internal/dist/ ./client/
 
 verify: check
 

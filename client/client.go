@@ -39,11 +39,6 @@ type (
 	Timeline = serve.Timeline
 	// TimelineSpan is one completed span in a Timeline.
 	TimelineSpan = serve.TimelineSpan
-	// Readiness is the parsed /readyz body: up/down plus the queue-depth
-	// and in-flight load signals behind least-loaded placement.
-	Readiness = serve.Readiness
-	// CellRequest is the wire form of the internal cell-execution endpoint.
-	CellRequest = serve.CellRequest
 )
 
 // Job states, re-exported for switch statements on JobStatus.State.
@@ -58,10 +53,10 @@ const (
 // RetryPolicy caps and paces a client's retries. The delay before retry n
 // (0-based) is BaseDelay·2ⁿ, capped at MaxDelay; a server Retry-After hint
 // overrides the computed delay when larger. With Jitter set, the computed
-// delay is full-jittered — drawn uniformly from [0, BaseDelay·2ⁿ] — so a
-// fleet of clients (or a coordinator's worker RPCs) recovering from the
-// same rejection never retries in lockstep; the Retry-After hint stays a
-// hard floor under the jittered value.
+// delay is full-jittered — drawn uniformly from [0, BaseDelay·2ⁿ] — so
+// many clients recovering from the same rejection never retry in
+// lockstep; the Retry-After hint stays a hard floor under the jittered
+// value.
 type RetryPolicy struct {
 	// MaxAttempts is the total number of tries (first attempt included).
 	// Values below 1 mean 1 (no retries).
@@ -107,10 +102,9 @@ func (p RetryPolicy) sleepFor(attempt int, retryAfter time.Duration) time.Durati
 // Client talks to one lvpd instance. The zero value is not usable; call
 // New.
 type Client struct {
-	base   *url.URL
-	http   *http.Client
-	retry  RetryPolicy
-	tenant string
+	base  *url.URL
+	http  *http.Client
+	retry RetryPolicy
 }
 
 // New returns a client for the daemon at baseURL (e.g.
@@ -129,10 +123,6 @@ func (c *Client) WithRetry(p RetryPolicy) *Client { c.retry = p; return c }
 // WithHTTPClient replaces the underlying *http.Client and returns the
 // client.
 func (c *Client) WithHTTPClient(h *http.Client) *Client { c.http = h; return c }
-
-// WithTenant sets the X-Tenant header sent on every request, identifying
-// the caller to the server's per-tenant admission quotas.
-func (c *Client) WithTenant(tenant string) *Client { c.tenant = tenant; return c }
 
 // StatusError is a non-2xx API response.
 type StatusError struct {
@@ -213,14 +203,10 @@ func (c *Client) send(ctx context.Context, method, path string, body []byte) (*h
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	// Propagate the caller's trace identity (a coordinator dispatching a
-	// cell passes the job's span context) so worker-side spans parent under
-	// the same trace ID, and the tenant identity for quota accounting.
+	// Propagate the caller's trace identity so the server's spans for
+	// this request carry the same trace ID.
 	if id := obs.TraceID(ctx); id != "" {
 		req.Header.Set("X-Request-Id", id)
-	}
-	if c.tenant != "" {
-		req.Header.Set("X-Tenant", c.tenant)
 	}
 	return c.http.Do(req)
 }
@@ -330,45 +316,6 @@ func (c *Client) Timeline(ctx context.Context, id string) (Timeline, error) {
 // Ready reports whether the server is accepting jobs (readyz).
 func (c *Client) Ready(ctx context.Context) error {
 	return c.do(ctx, http.MethodGet, "/readyz", nil, nil)
-}
-
-// Readiness fetches the /readyz body in a single non-retried probe — the
-// health-check primitive behind a coordinator's least-loaded placement. The
-// body decodes on 200 and 503 alike (a draining server still reports its
-// state); only transport or decode failures error.
-func (c *Client) Readiness(ctx context.Context) (Readiness, error) {
-	resp, err := c.send(ctx, http.MethodGet, "/readyz", nil)
-	if err != nil {
-		return Readiness{}, err
-	}
-	data, code, err := readAll(resp)
-	if err != nil {
-		return Readiness{}, err
-	}
-	if code != http.StatusOK && code != http.StatusServiceUnavailable {
-		return Readiness{}, &StatusError{Code: code, Message: apiError(data)}
-	}
-	var rd Readiness
-	if err := json.Unmarshal(data, &rd); err != nil {
-		return Readiness{}, fmt.Errorf("client: bad readiness body: %w", err)
-	}
-	return rd, nil
-}
-
-// ExecCell executes one cell synchronously on the server (the internal
-// coordinator→worker RPC behind POST /v1/cells) and returns the raw result
-// JSON verbatim — the bytes a coordinator merges must be exactly the bytes
-// the worker produced. Transient failures retry under the client's policy.
-func (c *Client) ExecCell(ctx context.Context, cell Cell, scale int) (json.RawMessage, error) {
-	body, err := json.Marshal(CellRequest{Cell: cell, Scale: scale})
-	if err != nil {
-		return nil, fmt.Errorf("client: encoding cell: %w", err)
-	}
-	var raw json.RawMessage
-	if err := c.do(ctx, http.MethodPost, "/v1/cells", body, &raw); err != nil {
-		return nil, err
-	}
-	return raw, nil
 }
 
 // Stream follows a job's NDJSON result stream, calling fn for every event

@@ -1,20 +1,14 @@
 package client
 
 import (
-	"context"
-	"encoding/json"
-	"net/http"
-	"net/http/httptest"
 	"testing"
 	"time"
-
-	"lvp/internal/serve"
 )
 
 // TestJitteredBackoffBounds pins the full-jitter distribution: every
 // jittered sleep falls in [0, BaseDelay·2ⁿ] (capped), and over many draws
 // both halves of that range are exercised — the whole point is that a
-// recovering worker is not hit by synchronized retries.
+// recovering server is not hit by synchronized retries.
 func TestJitteredBackoffBounds(t *testing.T) {
 	p := RetryPolicy{MaxAttempts: 5, BaseDelay: 100 * time.Millisecond, MaxDelay: 2 * time.Second, Jitter: true}
 	const n = 2000
@@ -67,80 +61,5 @@ func TestJitterOffIsDeterministic(t *testing.T) {
 				t.Errorf("sleepFor(%d, %v) = %v, want %v", attempt, ra, got, want)
 			}
 		}
-	}
-}
-
-// TestExecCellPreservesBytes pins the RPC the coordinator's byte-identity
-// rests on: the result bytes come back verbatim, whitespace and all.
-func TestExecCellPreservesBytes(t *testing.T) {
-	const raw = `{"b":2,"a":1}` // key order a server-side re-encode would destroy
-	var gotReq serve.CellRequest
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost || r.URL.Path != "/v1/cells" {
-			t.Errorf("unexpected request %s %s", r.Method, r.URL.Path)
-		}
-		if err := json.NewDecoder(r.Body).Decode(&gotReq); err != nil {
-			t.Errorf("bad cell request: %v", err)
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Write([]byte(raw))
-	}))
-	defer srv.Close()
-
-	cell := Cell{Kind: "sim", Bench: "quick", Machine: serve.Machine21164, Config: serve.ConfigNone}
-	res, err := newTestClient(t, srv).ExecCell(context.Background(), cell, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(res) != raw {
-		t.Errorf("ExecCell returned %q, want verbatim %q", res, raw)
-	}
-	if gotReq.Cell.String() != cell.String() || gotReq.Scale != 2 {
-		t.Errorf("server saw request %+v, want cell %+v scale 2", gotReq, cell)
-	}
-}
-
-// TestReadinessDecodesDraining pins that Readiness parses the body on both
-// 200 and 503 — a draining worker still reports its state to the
-// coordinator's health loop.
-func TestReadinessDecodesDraining(t *testing.T) {
-	for _, tc := range []struct {
-		code  int
-		ready bool
-	}{
-		{http.StatusOK, true},
-		{http.StatusServiceUnavailable, false},
-	} {
-		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(tc.code)
-			json.NewEncoder(w).Encode(serve.Readiness{Ready: tc.ready, Draining: !tc.ready, QueueDepth: 3, RunningJobs: 1, InFlightCells: 2})
-		}))
-		rd, err := newTestClient(t, srv).Readiness(context.Background())
-		srv.Close()
-		if err != nil {
-			t.Fatalf("Readiness on %d: %v", tc.code, err)
-		}
-		if rd.Ready != tc.ready || rd.Load() != 6 {
-			t.Errorf("Readiness on %d = %+v, want ready=%v load=6", tc.code, rd, tc.ready)
-		}
-	}
-}
-
-// TestTenantHeaderSent pins WithTenant: the X-Tenant header rides on every
-// request.
-func TestTenantHeaderSent(t *testing.T) {
-	var got string
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		got = r.Header.Get("X-Tenant")
-		json.NewEncoder(w).Encode([]JobStatus{})
-	}))
-	defer srv.Close()
-
-	if _, err := newTestClient(t, srv).WithTenant("acme").List(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if got != "acme" {
-		t.Errorf("server saw X-Tenant %q, want acme", got)
 	}
 }

@@ -10,14 +10,12 @@
 //	lvpd -addr :8347 -access-log                     # structured request log
 //	lvpd -addr :8347 -trace span,pipeline -trace-out events.jsonl
 //	lvpd -addr :8347 -store-dir /var/lib/lvpd       # persistent result store
-//	lvpd -coordinator -workers host1:8347,host2:8347,host3:8347
 //
 // Results served by lvpd are byte-identical to the same cells computed by
 // lvpsim / exp.Suite directly: the daemon runs the same engine behind the
-// same single-flight caches, shared across requests. In -coordinator mode
-// cells are dispatched to the worker fleet instead of computed locally, and
-// the merged stream keeps the same byte-identity (see SERVING.md,
-// "Distributed mode").
+// same single-flight caches, shared across requests, with the
+// content-addressed result store in front (see SERVING.md, "Result
+// store").
 package main
 
 import (
@@ -29,8 +27,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
@@ -45,14 +41,9 @@ func main() {
 		addr         = flag.String("addr", ":8347", "listen address")
 		queue        = flag.Int("queue", 16, "job queue depth (submissions beyond it get 429)")
 		runners      = flag.Int("runners", 2, "jobs executed concurrently")
-		workers      = flag.String("workers", "", "per-job cell fan-out bound (integer, default GOMAXPROCS); with -coordinator, the comma-separated worker base URLs (host:port or http://host:port)")
-		coordinator  = flag.Bool("coordinator", false, "run as fleet coordinator: dispatch cells to the -workers fleet instead of simulating locally")
-		cellAttempts = flag.Int("cell-attempts", dist.DefaultAttempts, "coordinator: per-cell attempt cap across workers")
-		healthEvery  = flag.Duration("health-interval", dist.DefaultHealthInterval, "coordinator: worker /readyz probe period")
+		workers      = flag.Int("workers", 0, "per-job cell fan-out bound (0 = GOMAXPROCS)")
 		storeDir     = flag.String("store-dir", "", "persist the content-addressed result store under this directory (survives restarts)")
 		storeEntries = flag.Int("store-entries", 0, "in-memory result-store LRU capacity (0 = default; store disabled only when both store flags are unset)")
-		tenantRate   = flag.Float64("tenant-rate", 0, "per-tenant job admission rate (jobs/sec via X-Tenant token buckets; 0 = quotas off)")
-		tenantBurst  = flag.Int("tenant-burst", 0, "per-tenant admission burst (0 = default)")
 		jobTimeout   = flag.Duration("job-timeout", 5*time.Minute, "default per-job timeout")
 		maxTimeout   = flag.Duration("max-timeout", 30*time.Minute, "cap on client-requested job timeouts")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown drain bound before jobs are cancelled")
@@ -75,36 +66,13 @@ func main() {
 	cfg := serve.Config{
 		QueueDepth:     *queue,
 		Runners:        *runners,
+		Workers:        *workers,
 		DefaultTimeout: *jobTimeout,
 		MaxTimeout:     *maxTimeout,
 		RetryAfter:     *retryAfter,
 		MaxScale:       *maxScale,
 		FlightSpans:    *flightSpans,
 		Metrics:        metrics,
-		TenantRate:     *tenantRate,
-		TenantBurst:    *tenantBurst,
-	}
-
-	// -workers is overloaded: an integer fan-out bound on a single node,
-	// the fleet address list under -coordinator.
-	var workerList []string
-	if *coordinator {
-		for _, w := range strings.Split(*workers, ",") {
-			if w = strings.TrimSpace(w); w != "" {
-				workerList = append(workerList, w)
-			}
-		}
-		if len(workerList) == 0 {
-			fmt.Fprintln(os.Stderr, "lvpd: -coordinator needs -workers host1,host2,...")
-			os.Exit(2)
-		}
-	} else if *workers != "" {
-		n, err := strconv.Atoi(*workers)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "lvpd: -workers %q: want an integer fan-out bound (or -coordinator with worker URLs)\n", *workers)
-			os.Exit(2)
-		}
-		cfg.Workers = n
 	}
 
 	if *storeDir != "" || *storeEntries > 0 {
@@ -141,24 +109,6 @@ func main() {
 		cfg.Tracer = obs.NewTracer(sink, mask)
 	}
 
-	var co *dist.Coordinator
-	if *coordinator {
-		var err error
-		co, err = dist.New(dist.Config{
-			Workers:        workerList,
-			Attempts:       *cellAttempts,
-			HealthInterval: *healthEvery,
-			Metrics:        metrics,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "lvpd: %v\n", err)
-			os.Exit(2)
-		}
-		cfg.CellRunner = co.RunCell
-		co.Start()
-		defer co.Stop()
-	}
-
 	mgr := serve.NewManager(cfg)
 	srv := &http.Server{
 		Addr:    *addr,
@@ -170,11 +120,7 @@ func main() {
 
 	errc := make(chan error, 1)
 	go func() {
-		if co != nil {
-			log.Info("lvpd coordinating", "addr", *addr, "workers", workerList, "queue", *queue, "runners", *runners)
-		} else {
-			log.Info("lvpd listening", "addr", *addr, "queue", *queue, "runners", *runners)
-		}
+		log.Info("lvpd listening", "addr", *addr, "queue", *queue, "runners", *runners)
 		errc <- srv.ListenAndServe()
 	}()
 

@@ -1,8 +1,6 @@
-// Package dist is the distributed serving subsystem: a coordinator that
-// shards a job's experiment cells across a fleet of lvpd worker processes
-// (coordinator.go) and a content-addressed result store (this file) that
-// turns repeat cells — from any job, any tenant, or any daemon restart —
-// into cache hits instead of re-simulations.
+// Package dist is lvpd's content-addressed result store: it turns repeat
+// cells — from any job or any daemon restart — into cache hits instead of
+// re-simulations.
 //
 // The paper's premise, that value locality makes repeated computation
 // predictable, applies at the serving layer verbatim: experiment cells are
@@ -91,8 +89,8 @@ const DefaultStoreEntries = 4096
 
 // Store is the content-addressed result cache: an LRU of result payloads
 // keyed by CellKey, with optional write-through disk persistence. It
-// implements serve.ResultStore, so it slots into the Manager in both
-// single-node and coordinator mode. Safe for concurrent use.
+// implements serve.ResultStore, so it slots into the Manager. Safe for
+// concurrent use.
 type Store struct {
 	cap int
 	dir string

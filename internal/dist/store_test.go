@@ -2,10 +2,16 @@ package dist
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+	"time"
 
 	"lvp/internal/obs"
 	"lvp/internal/serve"
@@ -138,5 +144,132 @@ func TestStoreDiskPersistence(t *testing.T) {
 	}
 	if _, ok := s3.Get(cell, 1); ok {
 		t.Error("corrupted disk entry served as a hit")
+	}
+}
+
+func shutdownNow(t *testing.T, m *serve.Manager) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := m.Shutdown(ctx); err != nil {
+		t.Errorf("manager shutdown: %v", err)
+	}
+}
+
+// runJob submits spec, waits for the job to finish, and returns the raw
+// NDJSON results body — the byte stream under the identity contract.
+func runJob(t *testing.T, base string, spec serve.JobSpec) []byte {
+	t.Helper()
+	body, _ := json.Marshal(spec)
+	resp, err := http.Post(base+"/v1/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st serve.JobStatus
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit status = %d", resp.StatusCode)
+	}
+
+	// The results endpoint streams until the job is done, so one GET both
+	// waits and captures the canonical byte stream.
+	resp, err = http.Get(base + "/v1/jobs/" + st.ID + "/results")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("results status = %d", resp.StatusCode)
+	}
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
+// storeSpec exercises every cell kind: four sims, a locality sweep, and a
+// zoo cell.
+func storeSpec() serve.JobSpec {
+	return serve.JobSpec{
+		Benchmarks:      []string{"quick"},
+		Machines:        []string{serve.Machine21164, serve.Machine620},
+		Configs:         []string{serve.ConfigNone, "Simple"},
+		LocalityTargets: []string{"ppc"},
+		LocalityDepths:  []int{1, 4},
+		Predictors:      []string{"stride"},
+	}
+}
+
+// engineWork sums what a registry's engine counters say was computed: every
+// progress.<phase> completion (trace builds, annotations, simulations, zoo
+// sweeps) and the instructions both machine models simulated.
+func engineWork(reg *obs.Registry) (phases, instructions int64) {
+	for name, v := range reg.Snapshot().Counters {
+		if strings.HasPrefix(name, "progress.") {
+			phases += v
+		}
+	}
+	instructions = reg.Counter("sim620.instructions").Value() +
+		reg.Counter("sim21164.instructions").Value()
+	return phases, instructions
+}
+
+// TestStoreRestartHit is the persistence acceptance test: a daemon restart
+// (new Manager, new Store over the same directory) serves a repeated job
+// spec entirely from the store — zero simulated cells — with byte-identical
+// results.
+func TestStoreRestartHit(t *testing.T) {
+	dir := t.TempDir()
+	spec := storeSpec()
+
+	// First life: compute everything, write through to disk. Its engine
+	// counters show what computing the spec costs.
+	reg1 := obs.NewRegistry()
+	store1, err := NewStore(StoreConfig{Dir: dir, Metrics: reg1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr1 := serve.NewManager(serve.Config{Workers: 2, Store: store1, Metrics: reg1})
+	srv1 := httptest.NewServer(serve.NewHandler(mgr1))
+	first := runJob(t, srv1.URL, spec)
+	shutdownNow(t, mgr1)
+	srv1.Close()
+	if phases, insts := engineWork(reg1); phases == 0 || insts == 0 {
+		t.Fatalf("first life computed nothing: %d phases, %d instructions", phases, insts)
+	}
+
+	// Second life: fresh process state, same store directory. The engine
+	// counters in the registry the second Manager writes to prove nothing
+	// was traced, annotated or simulated.
+	reg := obs.NewRegistry()
+	store2, err := NewStore(StoreConfig{Dir: dir, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr2 := serve.NewManager(serve.Config{Workers: 2, Store: store2, Metrics: reg})
+	srv2 := httptest.NewServer(serve.NewHandler(mgr2))
+	defer srv2.Close()
+	defer shutdownNow(t, mgr2)
+	second := runJob(t, srv2.URL, spec)
+
+	if !bytes.Equal(first, second) {
+		t.Errorf("restarted store changed the stream\n first: %s\nsecond: %s", first, second)
+	}
+	if phases, insts := engineWork(reg); phases != 0 || insts != 0 {
+		t.Errorf("restart computed %d phases and simulated %d instructions, want 0 (all from store)", phases, insts)
+	}
+	cells := int64(bytes.Count(first, []byte("\n")) - 1) // minus the done event
+	if got := reg.Counter("dist.store.hit").Value(); got != cells {
+		t.Errorf("dist.store.hit = %d, want %d", got, cells)
+	}
+	if got := reg.Counter("dist.store.disk_hit").Value(); got != cells {
+		t.Errorf("dist.store.disk_hit = %d, want %d", got, cells)
+	}
+	if got := reg.Counter("dist.store.miss").Value(); got != 0 {
+		t.Errorf("dist.store.miss = %d, want 0", got)
 	}
 }

@@ -13,9 +13,8 @@ import (
 // per power of two, so the relative quantile error is bounded by
 // 1/(2·histSub) (12.5%) while Observe stays three atomic operations: one
 // bucket increment, one sum add, one max CAS. Histograms from different
-// processes with the same layout merge by bucket addition (Merge), which is
-// what lets a future coordinator aggregate per-worker latency distributions
-// without losing the tail.
+// processes with the same layout merge by bucket addition (Merge) without
+// losing the tail.
 //
 // A nil *Histogram is a no-op, like every other registry handle.
 type Histogram struct {

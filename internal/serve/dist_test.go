@@ -2,102 +2,21 @@ package serve
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
-
-	"lvp/internal/exp"
 )
 
-// Tests for the distributed-serving building blocks that live in serve: the
-// internal cell-execution endpoint, the readiness body, per-tenant
-// admission, and the ResultStore/CellRunner hooks.
+// Tests for the readiness body and the Manager's side of the
+// content-addressed result store (internal/dist implements it).
 
-// execCell posts one CellRequest and returns the response.
-func execCell(t *testing.T, httpc *http.Client, base string, req CellRequest) *http.Response {
-	t.Helper()
-	body, _ := json.Marshal(req)
-	resp, err := httpc.Post(base+"/v1/cells", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return resp
-}
-
-// TestExecCellByteIdentity pins the worker half of distributed mode: the
-// raw bytes answered by POST /v1/cells are exactly the json.Marshal of the
-// struct the engine returns for the same cell.
-func TestExecCellByteIdentity(t *testing.T) {
-	mgr := NewManager(Config{Workers: 2})
-	defer shutdownNow(t, mgr)
-	srv := httptest.NewServer(NewHandler(mgr))
-	defer srv.Close()
-
-	resp := execCell(t, srv.Client(), srv.URL, CellRequest{
-		Cell: Cell{Kind: "sim", Bench: "quick", Machine: Machine21164, Config: ConfigNone},
-	})
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("exec cell status = %d", resp.StatusCode)
-	}
-	var got bytes.Buffer
-	if _, err := got.ReadFrom(resp.Body); err != nil {
-		t.Fatal(err)
-	}
-
-	direct := exp.NewSuiteParallel(1, 2)
-	stats, err := direct.Sim21164("quick", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _ := json.Marshal(stats)
-	if !bytes.Equal(got.Bytes(), want) {
-		t.Errorf("remote cell differs from direct engine run\n remote: %s\n direct: %s", got.Bytes(), want)
-	}
-}
-
-// TestExecCellRejections pins the endpoint's error mapping: invalid cells
-// are 400 (never retryable), a draining server is 503 (fail over).
-func TestExecCellRejections(t *testing.T) {
-	mgr := NewManager(Config{})
-	srv := httptest.NewServer(NewHandler(mgr))
-	defer srv.Close()
-
-	resp := execCell(t, srv.Client(), srv.URL, CellRequest{
-		Cell: Cell{Kind: "sim", Bench: "quick", Machine: "vax", Config: ConfigNone},
-	})
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("bad machine status = %d, want 400", resp.StatusCode)
-	}
-
-	resp = execCell(t, srv.Client(), srv.URL, CellRequest{
-		Cell:  Cell{Kind: "sim", Bench: "quick", Machine: Machine21164, Config: ConfigNone},
-		Scale: 999,
-	})
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("huge scale status = %d, want 400", resp.StatusCode)
-	}
-
-	shutdownNow(t, mgr)
-	resp = execCell(t, srv.Client(), srv.URL, CellRequest{
-		Cell: Cell{Kind: "sim", Bench: "quick", Machine: Machine21164, Config: ConfigNone},
-	})
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Errorf("draining status = %d, want 503", resp.StatusCode)
-	}
-}
-
-// TestReadyzBody pins the readiness JSON: the load signals a coordinator
-// needs for least-loaded placement, flipping to draining on shutdown.
+// TestReadyzBody pins the readiness JSON: the queue and running-job load
+// signals, flipping to draining (and 503) on shutdown.
 func TestReadyzBody(t *testing.T) {
 	mgr := NewManager(Config{QueueDepth: 7, Runners: 3})
 	srv := httptest.NewServer(NewHandler(mgr))
@@ -124,7 +43,7 @@ func TestReadyzBody(t *testing.T) {
 	if !rd.Ready || rd.Draining || rd.QueueCap != 7 || rd.Runners != 3 {
 		t.Errorf("readiness = %+v, want ready with queue_cap 7, runners 3", rd)
 	}
-	if rd.QueueDepth != 0 || rd.RunningJobs != 0 || rd.InFlightCells != 0 {
+	if rd.QueueDepth != 0 || rd.RunningJobs != 0 {
 		t.Errorf("idle readiness reports load: %+v", rd)
 	}
 
@@ -135,112 +54,6 @@ func TestReadyzBody(t *testing.T) {
 	}
 	if rd.Ready || !rd.Draining {
 		t.Errorf("draining readiness = %+v", rd)
-	}
-}
-
-// TestReadyzCountsInFlightCells pins that remote cell execution shows up in
-// the readiness load signal while it runs.
-func TestReadyzCountsInFlightCells(t *testing.T) {
-	mgr := NewManager(Config{})
-	defer shutdownNow(t, mgr)
-
-	release := make(chan struct{})
-	started := make(chan struct{})
-	mgr.cfg.CellRunner = func(ctx context.Context, cell Cell, scale int) (json.RawMessage, error) {
-		close(started)
-		<-release
-		return json.RawMessage(`{}`), nil
-	}
-	done := make(chan error, 1)
-	go func() {
-		_, err := mgr.ExecCell(context.Background(), Cell{Kind: "sim", Bench: "quick", Machine: Machine21164, Config: ConfigNone}, 1, "")
-		done <- err
-	}()
-	<-started
-	if rd := mgr.Readiness(); rd.InFlightCells != 1 || rd.Load() != 1 {
-		t.Errorf("readiness mid-cell = %+v, want in_flight_cells 1", rd)
-	}
-	close(release)
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	if rd := mgr.Readiness(); rd.InFlightCells != 0 {
-		t.Errorf("readiness after cell = %+v, want in_flight_cells 0", rd)
-	}
-}
-
-// TestTenantQuota pins per-tenant admission: a tenant's token bucket
-// rejects with 429 + Retry-After once empty, without touching other
-// tenants, and refills at the configured rate.
-func TestTenantQuota(t *testing.T) {
-	mgr := NewManager(Config{TenantRate: 1, TenantBurst: 2})
-	defer shutdownNow(t, mgr)
-	srv := httptest.NewServer(NewHandler(mgr))
-	defer srv.Close()
-
-	// Deterministic clock.
-	now := time.Unix(1700000000, 0)
-	var mu sync.Mutex
-	mgr.tenants.now = func() time.Time {
-		mu.Lock()
-		defer mu.Unlock()
-		return now
-	}
-	advance := func(d time.Duration) {
-		mu.Lock()
-		now = now.Add(d)
-		mu.Unlock()
-	}
-
-	submitAs := func(tenant string) *http.Response {
-		t.Helper()
-		body, _ := json.Marshal(JobSpec{Benchmarks: []string{"quick"}, Machines: []string{Machine21164}, Configs: []string{ConfigNone}})
-		req, _ := http.NewRequest(http.MethodPost, srv.URL+"/v1/jobs", bytes.NewReader(body))
-		req.Header.Set("Content-Type", "application/json")
-		if tenant != "" {
-			req.Header.Set("X-Tenant", tenant)
-		}
-		resp, err := srv.Client().Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		return resp
-	}
-
-	// Burst of 2 admitted, third rejected with a refill hint.
-	for i := 0; i < 2; i++ {
-		if resp := submitAs("acme"); resp.StatusCode != http.StatusAccepted {
-			t.Fatalf("submit %d status = %d, want 202", i, resp.StatusCode)
-		}
-	}
-	resp := submitAs("acme")
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("over-quota status = %d, want 429", resp.StatusCode)
-	}
-	if ra, err := strconv.Atoi(resp.Header.Get("Retry-After")); err != nil || ra < 1 {
-		t.Errorf("Retry-After = %q, want >= 1s", resp.Header.Get("Retry-After"))
-	}
-
-	// Another tenant (and the anonymous tenant) are unaffected.
-	if resp := submitAs("globex"); resp.StatusCode != http.StatusAccepted {
-		t.Errorf("other tenant status = %d, want 202", resp.StatusCode)
-	}
-	if resp := submitAs(""); resp.StatusCode != http.StatusAccepted {
-		t.Errorf("anonymous tenant status = %d, want 202", resp.StatusCode)
-	}
-
-	// One second refills one token at rate 1.
-	advance(time.Second)
-	if resp := submitAs("acme"); resp.StatusCode != http.StatusAccepted {
-		t.Errorf("post-refill status = %d, want 202", resp.StatusCode)
-	}
-	if resp := submitAs("acme"); resp.StatusCode != http.StatusTooManyRequests {
-		t.Errorf("second post-refill status = %d, want 429", resp.StatusCode)
-	}
-
-	if n := mgr.Metrics().Counter("serve.tenant.rejected").Value(); n != 2 {
-		t.Errorf("serve.tenant.rejected = %d, want 2", n)
 	}
 }
 
@@ -271,21 +84,34 @@ func (s *countingStore) Put(cell Cell, scale int, res json.RawMessage) {
 	s.m[s.key(cell, scale)] = res
 }
 
+// engineWork sums what the engine recorded in a registry: every
+// progress.<phase> completion, the instructions both machine models
+// simulated, and the lookups on the suite's trace, annotation and
+// simulation caches (flushed by FinalizeMetrics).
+func engineWork(m *Manager) (phases, instructions, cacheGets int64) {
+	m.FinalizeMetrics()
+	snap := m.Metrics().Snapshot()
+	for name, v := range snap.Counters {
+		if strings.HasPrefix(name, "progress.") {
+			phases += v
+		}
+	}
+	instructions = snap.Counters["sim620.instructions"] + snap.Counters["sim21164.instructions"]
+	for name, g := range snap.Gauges {
+		if strings.HasPrefix(name, "cache.") && strings.HasSuffix(name, ".gets") {
+			cacheGets += g.Value
+		}
+	}
+	return phases, instructions, cacheGets
+}
+
 // TestStoreShortCircuitsCompute pins the store hook: a repeat job is served
-// entirely from the store — the runner is never invoked — and its streamed
-// payload bytes are identical to the first run's.
+// entirely from the store — the engine is not even asked, so its counters
+// and cache lookups stay put — and its streamed payload bytes are identical
+// to the first run's.
 func TestStoreShortCircuitsCompute(t *testing.T) {
 	store := &countingStore{m: map[string]json.RawMessage{}}
-	var computed atomic.Int64
-	direct := exp.NewSuiteParallel(1, 2)
-
-	mgr := NewManager(Config{
-		Store: store,
-		CellRunner: func(ctx context.Context, cell Cell, scale int) (json.RawMessage, error) {
-			computed.Add(1)
-			return computeCell(direct.WithContext(ctx), cell)
-		},
-	})
+	mgr := NewManager(Config{Store: store})
 	defer shutdownNow(t, mgr)
 	srv := httptest.NewServer(NewHandler(mgr))
 	defer srv.Close()
@@ -305,17 +131,20 @@ func TestStoreShortCircuitsCompute(t *testing.T) {
 	}
 
 	first := run()
-	wantComputed := int64(len(spec.Cells()))
-	if n := computed.Load(); n != wantComputed {
-		t.Fatalf("first run computed %d cells, want %d", n, wantComputed)
+	phases, insts, gets := engineWork(mgr)
+	if phases == 0 || insts == 0 || gets == 0 {
+		t.Fatalf("first run left no engine trace: %d phases, %d instructions, %d cache gets", phases, insts, gets)
 	}
 
 	second := run()
-	if n := computed.Load(); n != wantComputed {
-		t.Errorf("repeat run recomputed cells: runner saw %d calls, want still %d", n, wantComputed)
+	p2, i2, g2 := engineWork(mgr)
+	if p2 != phases || i2 != insts || g2 != gets {
+		t.Errorf("repeat run reached the engine: phases %d→%d, instructions %d→%d, cache gets %d→%d",
+			phases, p2, insts, i2, gets, g2)
 	}
-	if n := store.hits.Load(); n != wantComputed {
-		t.Errorf("store hits = %d, want %d", n, wantComputed)
+	wantHits := int64(len(spec.Cells()))
+	if n := store.hits.Load(); n != wantHits {
+		t.Errorf("store hits = %d, want %d", n, wantHits)
 	}
 	if len(first) != len(second) {
 		t.Fatalf("runs streamed %d vs %d events", len(first), len(second))
@@ -323,36 +152,6 @@ func TestStoreShortCircuitsCompute(t *testing.T) {
 	for i := range first {
 		if !bytes.Equal(first[i].Result, second[i].Result) {
 			t.Errorf("cell %d bytes differ between cached and computed runs", i)
-		}
-	}
-}
-
-// TestCellValidate covers the standalone cell validator the execution
-// endpoint admits with.
-func TestCellValidate(t *testing.T) {
-	valid := []Cell{
-		{Kind: "sim", Bench: "quick", Machine: Machine620Plus, Config: "Simple"},
-		{Kind: "locality", Bench: "quick", Target: "ppc", Depths: []int{1, 4}},
-		{Kind: "zoo", Bench: "quick", Predictor: "stride"},
-	}
-	for _, c := range valid {
-		if err := c.Validate(); err != nil {
-			t.Errorf("Validate(%s) = %v, want nil", c, err)
-		}
-	}
-	invalid := []Cell{
-		{Kind: "sim", Bench: "no-such-bench", Machine: Machine620, Config: ConfigNone},
-		{Kind: "sim", Bench: "quick", Machine: "vax", Config: ConfigNone},
-		{Kind: "sim", Bench: "quick", Machine: Machine620, Config: "NoSuchConfig"},
-		{Kind: "locality", Bench: "quick", Target: "mips", Depths: []int{1}},
-		{Kind: "locality", Bench: "quick", Target: "ppc"},
-		{Kind: "locality", Bench: "quick", Target: "ppc", Depths: []int{0}},
-		{Kind: "zoo", Bench: "quick", Predictor: "no-such-family"},
-		{Kind: "???", Bench: "quick"},
-	}
-	for _, c := range invalid {
-		if err := c.Validate(); err == nil {
-			t.Errorf("Validate(%s) = nil, want error", c)
 		}
 	}
 }

@@ -1,13 +1,11 @@
 package serve
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
-	"time"
 )
 
 // API summary (see SERVING.md for schemas and examples):
@@ -18,22 +16,17 @@ import (
 //	GET    /v1/jobs/{id}/results  NDJSON event stream (Event per line)
 //	GET    /v1/jobs/{id}/timeline span timeline from the job's flight recorder
 //	DELETE /v1/jobs/{id}          request cancellation
-//	POST   /v1/cells              execute one cell synchronously (internal:
-//	                              coordinator→worker RPC; raw result JSON)
 //	GET    /metrics               metrics snapshot (JSON; ?format=prometheus
 //	                              for Prometheus text exposition)
 //	GET    /healthz               liveness  (200 while the process runs)
 //	GET    /readyz                readiness (Readiness JSON; 503 once
 //	                              draining) — includes queue depth and
-//	                              in-flight counts for least-loaded placement
+//	                              running jobs
 //
 // Every response carries an X-Request-Id (adopted from the request when sane,
 // minted otherwise); a submission's request ID becomes the job's trace ID.
 // Backpressure: a full job queue answers 429 with a Retry-After hint; a
-// draining server answers 503 for submissions, cell execution and readiness.
-// With per-tenant quotas enabled, submissions spend one X-Tenant bucket
-// token before touching the queue; an empty bucket answers 429 with a
-// Retry-After sized to the refill.
+// draining server answers 503 for submissions and readiness.
 
 // maxSpecBytes bounds a submitted JobSpec body.
 const maxSpecBytes = 1 << 20
@@ -52,7 +45,6 @@ func NewHandler(m *Manager) http.Handler {
 		writeJSON(w, http.StatusOK, job.Status())
 	})
 	mux.HandleFunc("GET /v1/jobs/{id}/results", func(w http.ResponseWriter, r *http.Request) { handleResults(m, w, r) })
-	mux.HandleFunc("POST /v1/cells", func(w http.ResponseWriter, r *http.Request) { handleExecCell(m, w, r) })
 	mux.HandleFunc("GET /v1/jobs/{id}/timeline", func(w http.ResponseWriter, r *http.Request) {
 		job, err := m.Job(r.PathValue("id"))
 		if err != nil {
@@ -105,13 +97,6 @@ func handleSubmit(m *Manager, w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: bad job spec: %w", err))
 		return
 	}
-	tenant := sanitizeRequestID(r.Header.Get("X-Tenant"))
-	if ok, wait := m.AdmitTenant(tenant); !ok {
-		w.Header().Set("Retry-After", strconv.Itoa(retrySeconds(wait)))
-		writeError(w, http.StatusTooManyRequests,
-			fmt.Errorf("%w: %q", ErrTenantLimited, tenantLabel(tenant)))
-		return
-	}
 	job, err := m.SubmitTraced(spec, RequestIDFromContext(r.Context()))
 	switch {
 	case errors.Is(err, ErrQueueFull):
@@ -131,48 +116,7 @@ func handleSubmit(m *Manager, w http.ResponseWriter, r *http.Request) {
 // retryAfterSeconds renders the manager's hint as whole seconds (minimum 1,
 // the header's resolution).
 func retryAfterSeconds(m *Manager) int {
-	return retrySeconds(m.RetryAfter())
-}
-
-// retrySeconds renders a backoff hint as whole seconds (minimum 1, the
-// Retry-After header's resolution).
-func retrySeconds(d time.Duration) int {
-	return max(1, int(d.Seconds()))
-}
-
-// handleExecCell is the internal cell-execution endpoint backing
-// distributed mode: one cell, run synchronously, answered with the raw
-// result JSON so the bytes a coordinator merges are exactly the bytes a
-// local run would have produced. Errors map to the narrowest helpful code:
-// 400 for invalid cells (retrying cannot help), 503 while draining (the
-// coordinator should fail over), 504 for cell timeouts.
-func handleExecCell(m *Manager, w http.ResponseWriter, r *http.Request) {
-	var req CellRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: bad cell request: %w", err))
-		return
-	}
-	res, err := m.ExecCell(r.Context(), req.Cell, req.Scale, RequestIDFromContext(r.Context()))
-	switch {
-	case errors.Is(err, ErrDraining):
-		writeError(w, http.StatusServiceUnavailable, err)
-		return
-	case errors.Is(err, context.DeadlineExceeded):
-		writeError(w, http.StatusGatewayTimeout, err)
-		return
-	case err != nil:
-		code := http.StatusInternalServerError
-		if verr := m.ValidateCell(req.Cell, req.Scale); verr != nil {
-			code = http.StatusBadRequest
-		}
-		writeError(w, code, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	w.Write(res)
+	return max(1, int(m.RetryAfter().Seconds()))
 }
 
 // handleResults streams a job's events as NDJSON: one "cell" event per cell

@@ -38,6 +38,19 @@ const (
 // hardware (the baseline the paper's speedups are measured against).
 const ConfigNone = "none"
 
+// Spec size bounds, so no single spec can exhaust the daemon's memory.
+// Each listed locality depth builds its own history table of
+// locality.DefaultEntries × depth values, so both the depth and the number
+// of depths are capped (the paper measures depths 1 and 16). A job's cell
+// list is the product of its lists, so its length is capped too: the full
+// grid of every benchmark, machine, config, locality target and predictor
+// family is 527 cells.
+const (
+	maxLocalityDepth  = 256
+	maxLocalityDepths = 16
+	maxJobCells       = 4096
+)
+
 // JobSpec is the wire form of one experiment job. It expands to a
 // deterministic, index-ordered list of cells (see Cells):
 //
@@ -83,57 +96,6 @@ func (c Cell) String() string {
 	return fmt.Sprintf("sim %s/%s/%s", c.Bench, c.Machine, c.Config)
 }
 
-// Validate checks one cell against the engine's registries, so a cell can
-// be admitted on its own (the distributed cell-execution endpoint) without
-// wrapping it in a JobSpec.
-func (c Cell) Validate() error {
-	if _, err := bench.ByName(c.Bench); err != nil {
-		return fmt.Errorf("serve: %w", err)
-	}
-	switch c.Kind {
-	case "sim":
-		switch c.Machine {
-		case Machine620, Machine620Plus, Machine21164:
-		default:
-			return fmt.Errorf("serve: unknown machine %q (want %s, %s or %s)",
-				c.Machine, Machine620, Machine620Plus, Machine21164)
-		}
-		if c.Config != ConfigNone {
-			if _, err := lvp.ByName(c.Config); err != nil {
-				return fmt.Errorf("serve: %w", err)
-			}
-		}
-	case "locality":
-		if _, err := targetByName(c.Target); err != nil {
-			return err
-		}
-		if len(c.Depths) == 0 {
-			return fmt.Errorf("serve: locality cell needs at least one depth")
-		}
-		for _, d := range c.Depths {
-			if d < 1 {
-				return fmt.Errorf("serve: locality depth %d out of range (want >= 1)", d)
-			}
-		}
-	case "zoo":
-		if _, err := lvp.FamilyByName(c.Predictor); err != nil {
-			return fmt.Errorf("serve: %w", err)
-		}
-	default:
-		return fmt.Errorf("serve: unknown cell kind %q", c.Kind)
-	}
-	return nil
-}
-
-// CellRequest is the wire form of the internal cell-execution endpoint
-// (POST /v1/cells): one cell executed synchronously at one scale. The
-// response body on success is the raw result JSON — byte-identical to the
-// payload the same cell produces inside a job stream.
-type CellRequest struct {
-	Cell  Cell `json:"cell"`
-	Scale int  `json:"scale,omitempty"`
-}
-
 // Validate checks every name in the spec against the engine's registries.
 func (s JobSpec) Validate() error {
 	if len(s.Benchmarks) == 0 {
@@ -165,9 +127,12 @@ func (s JobSpec) Validate() error {
 			return err
 		}
 	}
+	if len(s.LocalityDepths) > maxLocalityDepths {
+		return fmt.Errorf("serve: %d locality depths given (want at most %d)", len(s.LocalityDepths), maxLocalityDepths)
+	}
 	for _, d := range s.LocalityDepths {
-		if d < 1 {
-			return fmt.Errorf("serve: locality depth %d out of range (want >= 1)", d)
+		if d < 1 || d > maxLocalityDepth {
+			return fmt.Errorf("serve: locality depth %d out of range (want 1..%d)", d, maxLocalityDepth)
 		}
 	}
 	for _, p := range s.Predictors {
@@ -180,6 +145,10 @@ func (s JobSpec) Validate() error {
 	}
 	if (len(s.LocalityTargets) > 0) && len(s.LocalityDepths) == 0 {
 		return fmt.Errorf("serve: locality_targets given without locality_depths")
+	}
+	perBench := len(s.Machines)*len(s.Configs) + len(s.LocalityTargets) + len(s.Predictors)
+	if perBench > maxJobCells || len(s.Benchmarks)*perBench > maxJobCells {
+		return fmt.Errorf("serve: job expands to more than %d cells", maxJobCells)
 	}
 	if len(s.Cells()) == 0 {
 		return fmt.Errorf("serve: job expands to zero cells (give machines+configs, locality_targets+locality_depths, and/or predictors)")

@@ -21,23 +21,11 @@ var (
 	ErrQueueFull = errors.New("serve: job queue full")
 	ErrDraining  = errors.New("serve: server draining, not accepting jobs")
 	ErrNotFound  = errors.New("serve: no such job")
-	// ErrTenantLimited is returned when a tenant's token bucket is empty;
-	// the HTTP layer maps it to 429 with a Retry-After hint sized to the
-	// bucket's refill.
-	ErrTenantLimited = errors.New("serve: tenant over quota")
 )
 
-// CellRunner computes one cell at one scale. The Manager's default runner
-// executes cells locally on the shared per-scale suites; a distributed
-// coordinator installs a runner that dispatches to a worker fleet instead.
-// The returned bytes must be the cell's canonical result JSON (the
-// json.Marshal of the engine's struct) — the byte-identity contract rests
-// on every runner agreeing on them.
-type CellRunner func(ctx context.Context, cell Cell, scale int) (json.RawMessage, error)
-
 // ResultStore is the content-addressed result cache consulted before a cell
-// is computed (or dispatched) and populated after it succeeds. Implementations
-// must be safe for concurrent use; internal/dist provides the LRU + disk one.
+// is computed and populated after it succeeds. Implementations must be safe
+// for concurrent use; internal/dist provides the LRU + disk one.
 type ResultStore interface {
 	Get(cell Cell, scale int) (json.RawMessage, bool)
 	Put(cell Cell, scale int, res json.RawMessage)
@@ -78,21 +66,9 @@ type Config struct {
 	// FlightSpans bounds each job's span flight recorder (<= 0 selects
 	// obs.DefaultFlightSpans).
 	FlightSpans int
-	// CellRunner, when non-nil, replaces local computation for every cell
-	// (coordinator mode: cells are dispatched to a worker fleet). Nil runs
-	// cells on the shared per-scale suites in this process.
-	CellRunner CellRunner
 	// Store, when non-nil, is the content-addressed result cache: every
-	// cell is looked up before it runs and stored after it succeeds, in
-	// both the job path and the cell-execution endpoint.
+	// cell is looked up before it runs and stored after it succeeds.
 	Store ResultStore
-	// TenantRate > 0 enables per-tenant admission ahead of the job queue:
-	// each tenant (X-Tenant header; empty means the anonymous tenant) gets
-	// a token bucket refilled at TenantRate jobs/second with TenantBurst
-	// capacity (<= 0 selects DefaultTenantBurst). Exhausted buckets reject
-	// with ErrTenantLimited before the job touches the queue.
-	TenantRate  float64
-	TenantBurst int
 }
 
 func (c Config) withDefaults() Config {
@@ -136,10 +112,6 @@ type Manager struct {
 	queue chan *Job
 	wg    sync.WaitGroup // runner goroutines
 
-	// tenants is the per-tenant admission limiter; nil when quotas are
-	// disabled (TenantRate <= 0).
-	tenants *tenantLimiter
-
 	mu       sync.Mutex
 	jobs     map[string]*Job
 	order    []string // submission order, for List
@@ -167,9 +139,6 @@ func NewManager(cfg Config) *Manager {
 		queue:   make(chan *Job, cfg.QueueDepth),
 		jobs:    map[string]*Job{},
 		suites:  map[int]*exp.Suite{},
-	}
-	if cfg.TenantRate > 0 {
-		m.tenants = newTenantLimiter(cfg.TenantRate, cfg.TenantBurst)
 	}
 	for i := 0; i < cfg.Runners; i++ {
 		m.wg.Add(1)
@@ -427,10 +396,8 @@ func (m *Manager) runJob(job *Job) {
 }
 
 // runCell resolves one cell's result: the content-addressed store first
-// (when configured), then the configured runner — the local suite by
-// default, the distributed dispatcher in coordinator mode. Successful
-// results are written back to the store, so repeat cells from any job (or
-// any tenant) become cache hits.
+// (when configured), then the local per-scale suite. Successful results are
+// written back to the store, so repeat cells from any job become cache hits.
 func (m *Manager) runCell(ctx context.Context, cell Cell, scale int) (json.RawMessage, error) {
 	if scale <= 0 {
 		scale = 1
@@ -440,126 +407,37 @@ func (m *Manager) runCell(ctx context.Context, cell Cell, scale int) (json.RawMe
 			return res, nil
 		}
 	}
-	res, err := m.computeOrDispatch(ctx, cell, scale)
+	m.mu.Lock()
+	suite := m.suiteLocked(scale)
+	m.mu.Unlock()
+	res, err := computeCell(suite.WithContext(ctx), cell)
 	if err == nil && m.cfg.Store != nil {
 		m.cfg.Store.Put(cell, scale, res)
 	}
 	return res, err
 }
 
-// computeOrDispatch runs one cell on the configured runner, defaulting to
-// the local per-scale suite.
-func (m *Manager) computeOrDispatch(ctx context.Context, cell Cell, scale int) (json.RawMessage, error) {
-	if m.cfg.CellRunner != nil {
-		return m.cfg.CellRunner(ctx, cell, scale)
-	}
-	m.mu.Lock()
-	suite := m.suiteLocked(scale)
-	m.mu.Unlock()
-	return computeCell(suite.WithContext(ctx), cell)
-}
-
-// ValidateCell admission-checks one cell-execution request: registry names
-// and the scale bound, the same checks a JobSpec gets.
-func (m *Manager) ValidateCell(cell Cell, scale int) error {
-	if err := cell.Validate(); err != nil {
-		return err
-	}
-	if scale < 0 || scale > m.cfg.MaxScale {
-		return fmt.Errorf("serve: scale %d out of range (want 0..%d)", scale, m.cfg.MaxScale)
-	}
-	return nil
-}
-
-// ExecCell executes one cell synchronously — the worker half of distributed
-// mode, behind POST /v1/cells. It shares the store and suites with the job
-// path, runs under the caller's context capped by the default job timeout,
-// and counts into serve.cells.inflight (reported by Readiness, so
-// coordinators can place cells on the least-loaded worker). traceID, when
-// non-empty, scopes a span around the execution so worker-side phase spans
-// parent under the coordinator job's trace.
-func (m *Manager) ExecCell(ctx context.Context, cell Cell, scale int, traceID string) (json.RawMessage, error) {
-	if m.Draining() {
-		m.metrics.Counter("serve.cells.rejected_draining").Inc()
-		return nil, ErrDraining
-	}
-	if err := m.ValidateCell(cell, scale); err != nil {
-		m.metrics.Counter("serve.cells.invalid").Inc()
-		return nil, err
-	}
-	if scale == 0 {
-		scale = 1
-	}
-	g := m.metrics.Gauge("serve.cells.inflight")
-	g.Acquire()
-	defer g.Release()
-
-	ctx, cancel := context.WithTimeout(ctx, m.cfg.DefaultTimeout)
-	defer cancel()
-	if traceID != "" {
-		ctx = obs.WithTrace(ctx, traceID, m.cfg.Tracer, nil)
-	}
-	cctx, end := obs.StartSpan(ctx, "remote-cell", slog.String("cell", cell.String()))
-	start := time.Now()
-	res, err := m.runCell(cctx, cell, scale)
-	end()
-	m.metrics.Histogram("serve.cell.remote_wall_ns").Observe(int64(time.Since(start)))
-	if err != nil {
-		m.metrics.Counter("serve.cells.remote_failed").Inc()
-		return nil, err
-	}
-	m.metrics.Counter("serve.cells.remote_done").Inc()
-	return res, nil
-}
-
-// AdmitTenant spends one token from the tenant's bucket. With quotas
-// disabled every tenant is admitted. The returned duration is the
-// Retry-After hint for a rejection: how long until the bucket holds a
-// whole token again.
-func (m *Manager) AdmitTenant(tenant string) (bool, time.Duration) {
-	if m.tenants == nil {
-		return true, 0
-	}
-	ok, wait := m.tenants.admit(tenant)
-	if ok {
-		m.metrics.Counter("serve.tenant.admitted").Inc()
-	} else {
-		m.metrics.Counter("serve.tenant.rejected").Inc()
-		m.metrics.Counter(obs.LabeledName("serve.tenant.rejected_by", "tenant", tenantLabel(tenant))).Inc()
-	}
-	return ok, wait
-}
-
-// Readiness is the JSON body of GET /readyz: up/down plus the load signals
-// (queue depth, in-flight jobs and cells) a coordinator or external load
-// balancer needs for least-loaded placement.
+// Readiness is the JSON body of GET /readyz: up/down plus the queue depth
+// and running-job count an external load balancer can place by.
 type Readiness struct {
-	Ready         bool `json:"ready"`
-	Draining      bool `json:"draining"`
-	QueueDepth    int  `json:"queue_depth"`
-	QueueCap      int  `json:"queue_cap"`
-	RunningJobs   int  `json:"running_jobs"`
-	InFlightCells int  `json:"in_flight_cells"`
-	Runners       int  `json:"runners"`
-}
-
-// Load folds the readiness signals into one placement score: pending and
-// running jobs plus cells being executed for remote coordinators.
-func (r Readiness) Load() int {
-	return r.QueueDepth + r.RunningJobs + r.InFlightCells
+	Ready       bool `json:"ready"`
+	Draining    bool `json:"draining"`
+	QueueDepth  int  `json:"queue_depth"`
+	QueueCap    int  `json:"queue_cap"`
+	RunningJobs int  `json:"running_jobs"`
+	Runners     int  `json:"runners"`
 }
 
 // Readiness snapshots the manager's admission state.
 func (m *Manager) Readiness() Readiness {
 	draining := m.Draining()
 	return Readiness{
-		Ready:         !draining,
-		Draining:      draining,
-		QueueDepth:    len(m.queue),
-		QueueCap:      m.cfg.QueueDepth,
-		RunningJobs:   int(m.metrics.Gauge("serve.jobs.running").Value()),
-		InFlightCells: int(m.metrics.Gauge("serve.cells.inflight").Value()),
-		Runners:       m.cfg.Runners,
+		Ready:       !draining,
+		Draining:    draining,
+		QueueDepth:  len(m.queue),
+		QueueCap:    m.cfg.QueueDepth,
+		RunningJobs: int(m.metrics.Gauge("serve.jobs.running").Value()),
+		Runners:     m.cfg.Runners,
 	}
 }
 

@@ -490,18 +490,30 @@ func TestSpecValidation(t *testing.T) {
 	defer srv.Close()
 	httpc := srv.Client()
 
+	seventeen := make([]int, 17)
+	for i := range seventeen {
+		seventeen[i] = i + 1
+	}
+	manyBenches := make([]string, maxJobCells+1)
+	for i := range manyBenches {
+		manyBenches[i] = "quick"
+	}
 	bad := []JobSpec{
 		{},                              // no benchmarks
 		{Benchmarks: []string{"nope"}},  // unknown benchmark
 		{Benchmarks: []string{"quick"}}, // zero cells
-		{Benchmarks: []string{"quick"}, Machines: []string{"620"}},                                       // machines without configs
-		{Benchmarks: []string{"quick"}, Machines: []string{"x86"}, Configs: []string{ConfigNone}},        // unknown machine
-		{Benchmarks: []string{"quick"}, Machines: []string{"620"}, Configs: []string{"Fancy"}},           // unknown config
-		{Benchmarks: []string{"quick"}, LocalityTargets: []string{"arm"}, LocalityDepths: []int{1}},      // unknown target
-		{Benchmarks: []string{"quick"}, LocalityTargets: []string{"ppc"}},                                // no depths
-		{Benchmarks: []string{"quick"}, LocalityTargets: []string{"ppc"}, LocalityDepths: []int{0}},      // bad depth
-		{Benchmarks: []string{"quick"}, Machines: []string{"620"}, Configs: []string{"none"}, Scale: -1}, // bad scale
-		{Benchmarks: []string{"quick"}, Machines: []string{"620"}, Configs: []string{"none"}, Scale: 99}, // over MaxScale
+		{Benchmarks: []string{"quick"}, Machines: []string{"620"}},                                        // machines without configs
+		{Benchmarks: []string{"quick"}, Machines: []string{"x86"}, Configs: []string{ConfigNone}},         // unknown machine
+		{Benchmarks: []string{"quick"}, Machines: []string{"620"}, Configs: []string{"Fancy"}},            // unknown config
+		{Benchmarks: []string{"quick"}, LocalityTargets: []string{"arm"}, LocalityDepths: []int{1}},       // unknown target
+		{Benchmarks: []string{"quick"}, LocalityTargets: []string{"ppc"}},                                 // no depths
+		{Benchmarks: []string{"quick"}, LocalityTargets: []string{"ppc"}, LocalityDepths: []int{0}},       // bad depth
+		{Benchmarks: []string{"quick"}, LocalityTargets: []string{"ppc"}, LocalityDepths: []int{1 << 50}}, // huge depth
+		{Benchmarks: []string{"quick"}, LocalityTargets: []string{"ppc"}, LocalityDepths: []int{257}},     // depth over the bound
+		{Benchmarks: []string{"quick"}, LocalityTargets: []string{"ppc"}, LocalityDepths: seventeen},      // too many depths
+		{Benchmarks: manyBenches, Machines: []string{"620"}, Configs: []string{"none"}},                   // too many cells
+		{Benchmarks: []string{"quick"}, Machines: []string{"620"}, Configs: []string{"none"}, Scale: -1},  // bad scale
+		{Benchmarks: []string{"quick"}, Machines: []string{"620"}, Configs: []string{"none"}, Scale: 99},  // over MaxScale
 	}
 	for i, spec := range bad {
 		if _, resp := submit(t, httpc, srv.URL, spec); resp.StatusCode != http.StatusBadRequest {
@@ -518,6 +530,18 @@ func TestSpecValidation(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("unknown-field spec status = %d, want 400", resp.StatusCode)
+	}
+
+	// The rejections left the daemon serving: a valid locality job at the
+	// depth bound still completes.
+	ok := JobSpec{Benchmarks: []string{"quick"}, LocalityTargets: []string{"ppc"}, LocalityDepths: []int{1, 256}}
+	st, resp := submit(t, httpc, srv.URL, ok)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("valid spec status = %d, want 202", resp.StatusCode)
+	}
+	events := streamEvents(t, httpc, srv.URL, st.ID)
+	if last := events[len(events)-1]; last.Type != "done" || last.State != StateDone {
+		t.Errorf("valid job after rejections ended %+v, want done", last)
 	}
 
 	// Unknown job IDs 404 on every job route.
