@@ -1,8 +1,11 @@
 # Development targets for the lvp repository.
 #
 # `make check` is the full local gate: build, static checks (vet + gofmt),
-# tests, and the race-detector pass. `make race-full` includes the golden
-# serial-vs-parallel render, which is expensive under the detector.
+# tests, the race-detector pass, and every standalone gate below (check-perf,
+# check-zoo, check-obs, check-serve, check-vlt2, check-stream, check-bench).
+# CI runs exactly `make check`, so each gate runs once. `make race-full`
+# includes the golden serial-vs-parallel render, which is expensive under
+# the detector.
 
 GO ?= go
 
@@ -26,7 +29,7 @@ vet:
 		echo "gofmt needed on:"; echo "$$fmt_out"; exit 1; \
 	fi
 
-check: build vet test race check-perf check-zoo check-obs check-serve check-vlt2 check-bench
+check: build vet test race check-perf check-zoo check-obs check-serve check-vlt2 check-stream check-bench
 
 # Race-detector pass over every package. -short skips the golden
 # double-render (TestGoldenSerialVsParallel), which the detector slows by an
@@ -42,14 +45,11 @@ race:
 race-full:
 	$(GO) test -race -timeout 30m ./...
 
-# Short fuzz sessions over the input surfaces: the VLT1 round-trip property
-# through Read and through the streaming Reader (minimal and padded count
-# headers), the VLT2 block-codec round-trip (both decode paths, both
-# codecs), and the lvpd job-spec decoder (decode → validate → cells never
+# Short fuzz sessions over the input surfaces: the VLT2 trace reader (never
+# panics; accepted input round-trips under both codecs and odd block
+# sizes), and the lvpd job-spec decoder (decode → validate → cells never
 # panics; accepted specs stay in bounds and round-trip to the same cells).
 fuzz:
-	$(GO) test -fuzz='FuzzRoundTrip$$' -fuzztime=30s ./internal/trace/
-	$(GO) test -fuzz='FuzzStreamRoundTrip$$' -fuzztime=30s ./internal/trace/
 	$(GO) test -fuzz='FuzzVLT2RoundTrip$$' -fuzztime=30s ./internal/trace/
 	$(GO) test -fuzz='FuzzJobSpec$$' -fuzztime=30s ./internal/serve/
 
@@ -64,11 +64,11 @@ bench:
 bench-obs:
 	$(GO) test -run xxx -bench 'BenchmarkAnnotate' -benchtime 2s -count 3 .
 
-# Streaming-layer benchmarks: record-at-a-time VLT1 decode vs the
-# whole-trace Read (StreamDecode vs MemDecode), and the gen→annotate→sim
-# cell streamed vs in memory (StreamPipeline vs MemPipeline).
+# Streaming-layer benchmarks: the VLT2 reader's batched decode
+# (VLT2DecodeBatch), and the gen→annotate→sim cell streamed vs in memory
+# (StreamPipeline vs MemPipeline).
 bench-stream:
-	$(GO) test -run xxx -bench 'Stream|MemDecode|MemPipeline' -benchtime 1s ./internal/trace/ ./internal/exp/
+	$(GO) test -run xxx -bench 'VLT2DecodeBatch|StreamPipeline|MemPipeline' -benchtime 1s ./internal/trace/ ./internal/exp/
 
 # Repo-benchmark self-test (see perfbench/README.md), run standalone
 # (uncached): every workload at tiny size, its metric names and units
@@ -81,12 +81,10 @@ check-bench:
 # Streaming memory/identity gate, run standalone (uncached): the
 # allocation-regression tests (0 allocs/record on the trace reader, VLT2
 # writer and LVP hot paths), the 10M-record peak-RSS bound on the
-# Writer2 → pipe → Reader2 stream, the VLT1 reader against Read (minimal
-# and padded count headers), and the per-workload differential between the
-# streamed and in-memory pipelines. All of these also run as
-# part of plain `make test` / `make check`.
+# Writer2 → file → IndexedReader stream, and the per-workload differential
+# between the streamed and in-memory pipelines.
 check-stream:
-	$(GO) test -count=1 -run 'AllocFree|TestStreamRSS|TestStreamDifferential|TestAnnotatorMatchesAnnotate|TestReaderMatchesRead|TestPaddedEncodingLayout' ./internal/trace/ ./internal/lvp/ ./internal/exp/
+	$(GO) test -count=1 -run 'AllocFree|TestStreamRSS|TestStreamDifferential|TestAnnotatorMatchesAnnotate' ./internal/trace/ ./internal/lvp/ ./internal/exp/
 
 # Hot-path identity and allocation gates, run standalone (uncached): the
 # randomized CVU differential against the linear-scan reference (states,
@@ -117,15 +115,15 @@ check-obs:
 	$(GO) test -count=1 -run 'Histogram|Span|Prometheus|Timeline|AccessLog|RequestID|TracingOn|Publish|BucketBounds|BucketIndex|FlightRecorder' ./internal/obs/ ./internal/serve/
 	$(GO) test -race -count=1 -run 'TestHistogramConcurrent|TestSpanConcurrent|TestConcurrentPublish|TestTracingOnIdentity' ./internal/obs/ ./internal/serve/
 
-# VLT2 block-codec gate, run standalone (uncached): the VLT1/VLT2
-# cross-format differential (records, annotation bytes, and all three
-# machine models' stats byte-identical regardless of format), the
-# hostile-input table (truncated blocks, corrupted checksums, lying header
-# lengths, overlapping index entries, retired codec bytes — clean errors,
-# never panics), the checked-in fuzz corpus seeds, the random-seek property
-# test, the 0-allocs/record gates on the VLT2 batch paths, and the vltconv
-# tests (VLT1 → VLT2 record identity, in-place conversion refused) — then
-# the seek property again under the race detector.
+# VLT2 block-codec gate, run standalone (uncached): the encoding
+# differential (records, annotation bytes, and all three machine models'
+# stats byte-identical across codecs and block sizes), the hostile-input
+# table (truncated blocks, corrupted checksums, lying header lengths,
+# overlapping index entries, retired codec bytes — clean errors, never
+# panics), the checked-in fuzz corpus seeds, the random-seek property test,
+# the 0-allocs/record gates on the VLT2 batch paths, and the vltconv tests
+# (flate → raw record identity, VLT1 and in-place conversion refused) —
+# then the seek property again under the race detector.
 check-vlt2:
 	$(GO) test -count=1 -run 'TestVLT2|FuzzVLT2' ./internal/trace/
 	$(GO) test -count=1 -run 'TestFormatDifferential' ./internal/exp/

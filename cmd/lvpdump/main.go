@@ -1,16 +1,15 @@
 // Command lvpdump disassembles a built benchmark (or an assembled .s file):
 // the code listing with labels resolved, plus the data-symbol map. A
 // debugging aid for workload authors. With -trace it instead dumps the
-// records of a trace file (VLT1 or VLT2, auto-detected) through the
-// streaming reader, so arbitrarily large traces dump in O(1) memory; on
-// VLT2 files -seek jumps straight to record N through the block index
-// instead of decoding up to it.
+// records of a VLT2 trace file through the streaming reader, so arbitrarily
+// large traces dump in O(1) memory; -seek jumps straight to record N
+// through the block index instead of decoding up to it.
 //
 // Usage:
 //
 //	lvpdump -bench grep -target ppc | less
 //	lvpdump -asm prog.s
-//	lvpdump -trace grep.ppc.vlt | head
+//	lvpdump -trace grep.ppc.vlt2 | head
 //	lvpdump -trace grep.ppc.vlt2 -seek 1000000 -n 20
 package main
 
@@ -33,8 +32,8 @@ func main() {
 	var (
 		benchName   = flag.String("bench", "", "benchmark to dump")
 		asmFile     = flag.String("asm", "", "assembly file to dump instead")
-		traceFile   = flag.String("trace", "", "trace file to dump records from (vlt1 or vlt2, streaming)")
-		seek        = flag.Uint64("seek", 0, "start dumping at this record (O(1) on vlt2 files)")
+		traceFile   = flag.String("trace", "", "VLT2 trace file to dump records from (streaming)")
+		seek        = flag.Uint64("seek", 0, "start dumping at this record (via the block index)")
 		count       = flag.Int64("n", -1, "dump at most this many records (-1 = all)")
 		target      = flag.String("target", "ppc", "codegen target: ppc or axp")
 		scale       = flag.Int("scale", 1, "benchmark scale")
@@ -116,8 +115,8 @@ func main() {
 
 // dumpTrace streams the records of a trace file to stdout, one line per
 // record, without materializing the trace. seek skips to that record first
-// — via the block index on VLT2 files, by decode-and-discard on VLT1 — and
-// n bounds how many records print (-1 = to the end).
+// through the block index, and n bounds how many records print (-1 = to the
+// end).
 func dumpTrace(path string, seek uint64, n int64) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -128,25 +127,10 @@ func dumpTrace(path string, seek uint64, n int64) error {
 	if err != nil {
 		return err
 	}
+	defer sr.Close()
 	fmt.Printf("; trace %s/%s, %d records\n", sr.Name(), sr.Target(), sr.Count())
-	if seek > 0 {
-		if ir, ok := sr.(*trace.IndexedReader); ok {
-			if err := ir.SeekRecord(seek); err != nil {
-				return err
-			}
-		} else {
-			var buf [512]trace.Record
-			for skipped := uint64(0); skipped < seek; {
-				k, err := sr.NextBatch(buf[:min(uint64(len(buf)), seek-skipped)])
-				skipped += uint64(k)
-				if err == io.EOF {
-					return nil
-				}
-				if err != nil {
-					return err
-				}
-			}
-		}
+	if err := sr.SeekRecord(seek); err != nil {
+		return err
 	}
 	for i := int64(0); n < 0 || i < n; i++ {
 		r, err := sr.Next()

@@ -2,7 +2,10 @@
 // its dynamic instruction trace — the counterpart of the paper's
 // TRIP6000/ATOM tracing step (§5). Records stream from the VM into a VLT2
 // file (block-structured, seekable) as they retire, so memory stays bounded
-// whatever the run length; -codec picks the block codec.
+// whatever the run length; -codec picks the block codec. VLT2 is the one
+// trace format the tools read, and a trace is a deterministic function of
+// (benchmark, target, scale), so tracegen also regenerates any trace kept
+// in the retired VLT1 format.
 //
 // Usage:
 //

@@ -1,8 +1,7 @@
-// Command traceinfo summarises a trace file (VLT1 or VLT2, auto-detected):
-// dynamic instruction mix, load-class breakdown, value locality at depths 1
-// and 16, and LVP unit behaviour under the paper's configurations. VLT2
-// files additionally get a format section: block count, on-wire vs decoded
-// bytes, and the trace.v2.* decode counters.
+// Command traceinfo summarises a VLT2 trace file: dynamic instruction mix,
+// load-class breakdown, the file's block layout (block count, on-wire vs
+// decoded bytes and the trace.v2.* decode counters), value locality at
+// depths 1 and 16, and LVP unit behaviour under the paper's configurations.
 //
 // The file is processed in one streaming pass: every table's accumulator
 // consumes each record as it is decoded, so summarising a multi-gigabyte
@@ -10,7 +9,6 @@
 //
 // Usage:
 //
-//	traceinfo grep.ppc.vlt
 //	traceinfo grep.ppc.vlt2
 package main
 
@@ -38,7 +36,7 @@ func main() {
 		return
 	}
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: traceinfo <file.vlt>")
+		fmt.Fprintln(os.Stderr, "usage: traceinfo <file.vlt2>")
 		os.Exit(2)
 	}
 	f, err := os.Open(flag.Arg(0))
@@ -50,11 +48,9 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	defer sr.Close()
 	reg := obs.NewRegistry()
-	type metered interface{ SetMetrics(*obs.Registry) }
-	if m, ok := sr.(metered); ok {
-		m.SetMetrics(reg)
-	}
+	sr.SetMetrics(reg)
 
 	// One pass, every accumulator fed per record.
 	z := trace.NewSummarizer(sr.Name(), sr.Target())
@@ -95,21 +91,19 @@ func main() {
 	}
 	mix.Render(os.Stdout)
 
-	// VLT2 files carry a block index; surface its shape and the decode
-	// counters the reader accumulated during the pass.
-	if ir, ok := sr.(*trace.IndexedReader); ok {
-		snap := reg.Snapshot()
-		ft := report.Table{
-			Title:   "VLT2 layout",
-			Columns: []string{"Metric", "Value"},
-		}
-		ft.AddRow("blocks", ir.Blocks())
-		ft.AddRow("block bytes (wire)", ir.WireBytes())
-		ft.AddRow("bytes decoded (raw)", snap.Counters["trace.v2.bytes.raw"])
-		ft.AddRow("bytes read (compressed)", snap.Counters["trace.v2.bytes.compressed"])
-		ft.AddRow("records decoded", snap.Counters["trace.v2.records"])
-		ft.Render(os.Stdout)
+	// The block index's shape and the decode counters the reader
+	// accumulated during the pass.
+	snap := reg.Snapshot()
+	ft := report.Table{
+		Title:   "VLT2 layout",
+		Columns: []string{"Metric", "Value"},
 	}
+	ft.AddRow("blocks", sr.Blocks())
+	ft.AddRow("block bytes (wire)", sr.WireBytes())
+	ft.AddRow("bytes decoded (raw)", snap.Counters["trace.v2.bytes.raw"])
+	ft.AddRow("bytes read (compressed)", snap.Counters["trace.v2.bytes.compressed"])
+	ft.AddRow("records decoded", snap.Counters["trace.v2.records"])
+	ft.Render(os.Stdout)
 
 	lt := report.Table{
 		Title:   "Value locality",

@@ -1,19 +1,16 @@
-// Command vltconv rewrites a trace file as VLT2 — from a VLT1 file, or from
-// a VLT2 file with another block codec or block size — streaming record by
-// record so traces of any size convert in bounded memory. The input format
-// is auto-detected from its magic bytes; -verify re-reads both files
-// afterwards and checks record-for-record equality. The output must be a
-// different file from the input.
+// Command vltconv rewrites a VLT2 trace file with another block codec or
+// block size, streaming record by record so traces of any size convert in
+// bounded memory. -verify re-reads both files afterwards and checks
+// record-for-record equality. The output must be a different file from the
+// input. A VLT1 input is rejected; regenerate it as VLT2 with tracegen.
 //
 // Usage:
 //
-//	vltconv -o grep.ppc.vlt2 grep.ppc.vlt                    # VLT1 → VLT2 (raw blocks)
 //	vltconv -codec flate -o grep.small.vlt2 grep.ppc.vlt2    # recompress
-//	vltconv -verify -block-records 1024 -o g.vlt2 grep.ppc.vlt
+//	vltconv -verify -block-records 1024 -o g.vlt2 grep.small.vlt2
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"io"
@@ -66,25 +63,18 @@ func main() {
 // the record count. It refuses to write over its own input: creating out
 // would truncate the file it is still reading.
 func convert(in, out string, opts trace.Writer2Options) (uint64, error) {
-	fi, err := os.Open(in)
-	if err != nil {
-		return 0, err
-	}
-	defer fi.Close()
-	inInfo, err := fi.Stat()
+	inInfo, err := os.Stat(in)
 	if err != nil {
 		return 0, err
 	}
 	if outInfo, err := os.Stat(out); err == nil && os.SameFile(inInfo, outInfo) {
 		return 0, fmt.Errorf("output %s is the input file; write to a different path", out)
 	}
-	src, err := trace.OpenFile(fi)
+	src, done, err := openTrace(in)
 	if err != nil {
 		return 0, err
 	}
-	if c, ok := src.(io.Closer); ok {
-		defer c.Close()
-	}
+	defer done()
 	fo, err := os.Create(out)
 	if err != nil {
 		return 0, err
@@ -121,24 +111,16 @@ func convert(in, out string, opts trace.Writer2Options) (uint64, error) {
 // verifyEqual streams both files in lockstep and reports the first
 // divergence.
 func verifyEqual(a, b string) error {
-	fa, err := os.Open(a)
+	da, closeA, err := openTrace(a)
 	if err != nil {
 		return err
 	}
-	defer fa.Close()
-	fb, err := os.Open(b)
+	defer closeA()
+	db, closeB, err := openTrace(b)
 	if err != nil {
 		return err
 	}
-	defer fb.Close()
-	da, err := trace.Open(bufio.NewReaderSize(fa, 1<<16))
-	if err != nil {
-		return err
-	}
-	db, err := trace.Open(bufio.NewReaderSize(fb, 1<<16))
-	if err != nil {
-		return err
-	}
+	defer closeB()
 	var n uint64
 	for {
 		ra, ea := da.Next()
@@ -160,6 +142,20 @@ func verifyEqual(a, b string) error {
 		}
 		n++
 	}
+}
+
+// openTrace opens the trace file at path; done closes the decoder and then
+// the file.
+func openTrace(path string) (d trace.Decoder, done func(), err error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	if d, err = trace.OpenFile(f); err != nil {
+		f.Close()
+		return nil, nil, err
+	}
+	return d, func() { d.Close(); f.Close() }, nil
 }
 
 func fileSize(path string) int64 {

@@ -2,7 +2,8 @@ package main
 
 import (
 	"bytes"
-	"io"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -32,11 +33,11 @@ func quickTrace(t *testing.T) *trace.Trace {
 	return tr
 }
 
-// writeFile encodes tr into a new file at path with enc.
-func writeFile(t *testing.T, path string, tr *trace.Trace, enc func(io.Writer, *trace.Trace) error) {
+// writeFile encodes tr into a new VLT2 file at path.
+func writeFile(t *testing.T, path string, tr *trace.Trace, opts trace.Writer2Options) {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := enc(&buf, tr); err != nil {
+	if err := trace.Write2(&buf, tr, opts); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
@@ -44,51 +45,38 @@ func writeFile(t *testing.T, path string, tr *trace.Trace, enc func(io.Writer, *
 	}
 }
 
-// readFile decodes the trace file at path, whatever its format.
+// readFile decodes the trace file at path.
 func readFile(t *testing.T, path string) *trace.Trace {
 	t.Helper()
-	f, err := os.Open(path)
+	d, done, err := openTrace(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	d, err := trace.OpenFile(f)
-	if err != nil {
-		t.Fatal(err)
-	}
+	defer done()
 	got, err := trace.ReadAll(d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c, ok := d.(io.Closer); ok {
-		c.Close()
-	}
 	return got
 }
 
-// TestConvertVLT1ToVLT2 converts a VLT1 file and checks the output is VLT2
-// holding the identical header and records, under both codecs.
-func TestConvertVLT1ToVLT2(t *testing.T) {
+// TestConvertFlateToRaw converts a flate file with an odd block size into
+// raw files with other odd block sizes and checks each output holds the
+// identical header and records.
+func TestConvertFlateToRaw(t *testing.T) {
 	want := quickTrace(t)
 	dir := t.TempDir()
-	in := filepath.Join(dir, "quick.vlt")
-	writeFile(t, in, want, trace.Write)
-	for _, codec := range []trace.BlockCodec{trace.CodecRaw, trace.CodecFlate} {
-		t.Run(codec.String(), func(t *testing.T) {
-			out := filepath.Join(dir, "quick."+codec.String()+".vlt2")
-			n, err := convert(in, out, trace.Writer2Options{Codec: codec})
+	in := filepath.Join(dir, "quick.flate.vlt2")
+	writeFile(t, in, want, trace.Writer2Options{Codec: trace.CodecFlate, BlockRecords: 61})
+	for _, blocks := range []int{7, 1021} {
+		t.Run(fmt.Sprintf("blocks-%d", blocks), func(t *testing.T) {
+			out := filepath.Join(dir, fmt.Sprintf("quick.raw%d.vlt2", blocks))
+			n, err := convert(in, out, trace.Writer2Options{BlockRecords: blocks})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if n != uint64(len(want.Records)) {
 				t.Fatalf("convert reported %d records, want %d", n, len(want.Records))
-			}
-			data, err := os.ReadFile(out)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.HasPrefix(data, []byte("VLT2")) {
-				t.Fatalf("output starts %q, want VLT2 magic", data[:min(4, len(data))])
 			}
 			got := readFile(t, out)
 			if got.Name != want.Name || got.Target != want.Target || !reflect.DeepEqual(got.Records, want.Records) {
@@ -101,6 +89,23 @@ func TestConvertVLT1ToVLT2(t *testing.T) {
 	}
 }
 
+// TestConvertRejectsVLT1 pins that a file in the retired VLT1 format fails
+// with ErrBadMagic before any output is created.
+func TestConvertRejectsVLT1(t *testing.T) {
+	dir := t.TempDir()
+	in := filepath.Join(dir, "old.vlt")
+	if err := os.WriteFile(in, []byte("VLT1\x01x\x01y\x00"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out := filepath.Join(dir, "new.vlt2")
+	if _, err := convert(in, out, trace.Writer2Options{}); !errors.Is(err, trace.ErrBadMagic) {
+		t.Fatalf("convert = %v, want ErrBadMagic", err)
+	}
+	if _, err := os.Stat(out); !os.IsNotExist(err) {
+		t.Fatalf("output exists after a rejected input (stat: %v)", err)
+	}
+}
+
 // TestConvertRejectsInPlace pins that converting a file onto itself — by
 // the same path or through a hard link — fails before the output is
 // created, leaving the input byte-identical. Creating the output first
@@ -108,36 +113,28 @@ func TestConvertVLT1ToVLT2(t *testing.T) {
 func TestConvertRejectsInPlace(t *testing.T) {
 	tr := quickTrace(t)
 	dir := t.TempDir()
-	for _, tc := range []struct {
-		name string
-		enc  func(io.Writer, *trace.Trace) error
-	}{
-		{"vlt1", trace.Write},
-		{"vlt2", func(w io.Writer, tr *trace.Trace) error { return trace.Write2(w, tr, trace.Writer2Options{}) }},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			in := filepath.Join(dir, "in."+tc.name)
-			writeFile(t, in, tr, tc.enc)
-			orig, err := os.ReadFile(in)
+	t.Run("vlt2", func(t *testing.T) {
+		in := filepath.Join(dir, "in.vlt2")
+		writeFile(t, in, tr, trace.Writer2Options{})
+		orig, err := os.ReadFile(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		link := filepath.Join(dir, "link.vlt2")
+		if err := os.Link(in, link); err != nil {
+			t.Fatal(err)
+		}
+		for _, out := range []string{in, link} {
+			if _, err := convert(in, out, trace.Writer2Options{}); err == nil {
+				t.Fatalf("convert %s -o %s succeeded, want an error", in, out)
+			}
+			after, err := os.ReadFile(in)
 			if err != nil {
 				t.Fatal(err)
 			}
-			link := filepath.Join(dir, "link."+tc.name)
-			if err := os.Link(in, link); err != nil {
-				t.Fatal(err)
+			if !bytes.Equal(after, orig) {
+				t.Fatalf("convert -o %s changed the input (%d → %d bytes)", out, len(orig), len(after))
 			}
-			for _, out := range []string{in, link} {
-				if _, err := convert(in, out, trace.Writer2Options{}); err == nil {
-					t.Fatalf("convert %s -o %s succeeded, want an error", in, out)
-				}
-				after, err := os.ReadFile(in)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(after, orig) {
-					t.Fatalf("convert -o %s changed the input (%d → %d bytes)", out, len(orig), len(after))
-				}
-			}
-		})
-	}
+		}
+	})
 }

@@ -12,19 +12,13 @@ import (
 	"lvp/internal/trace"
 )
 
-// formatEncodings is the cross-format matrix for the differential gate:
-// VLT1 (read-only, encoded by the reference trace.Write) plus both VLT2
-// codecs, and one deliberately awkward block size so records straddle block
-// boundaries in odd places.
+// formatEncodings is the encoding matrix for the differential gate: both
+// VLT2 codecs, and one deliberately awkward block size so records straddle
+// block boundaries in odd places.
 var formatEncodings = []struct {
 	name string
 	enc  func(tr *trace.Trace) ([]byte, error)
 }{
-	{"vlt1", func(tr *trace.Trace) ([]byte, error) {
-		var buf bytes.Buffer
-		err := trace.Write(&buf, tr)
-		return buf.Bytes(), err
-	}},
 	{"vlt2-raw", vlt2Enc(trace.Writer2Options{})},
 	{"vlt2-flate", vlt2Enc(trace.Writer2Options{Codec: trace.CodecFlate})},
 	{"vlt2-odd-blocks", vlt2Enc(trace.Writer2Options{BlockRecords: 61})},
@@ -38,16 +32,10 @@ func vlt2Enc(opts trace.Writer2Options) func(tr *trace.Trace) ([]byte, error) {
 	}
 }
 
-// decodeVia materializes enc through the named decode path.
-func decodeVia(t *testing.T, enc []byte, indexed bool) *trace.Trace {
+// decode materializes enc through the trace reader.
+func decode(t *testing.T, enc []byte) *trace.Trace {
 	t.Helper()
-	var d trace.Decoder
-	var err error
-	if indexed {
-		d, err = trace.NewIndexedReaderBytes(enc)
-	} else {
-		d, err = trace.Open(bytes.NewReader(enc))
-	}
+	d, err := trace.NewIndexedReaderBytes(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,12 +46,12 @@ func decodeVia(t *testing.T, enc []byte, indexed bool) *trace.Trace {
 	return got
 }
 
-// TestFormatDifferential is the VLT1↔VLT2 differential gate: for every
+// TestFormatDifferential is the file-format differential gate: for every
 // suite workload and every encoding in the matrix, the decoded records and
 // metadata must be byte-identical to the in-memory trace, the annotation
 // computed from the decoded records must match the in-memory annotation,
 // and all three machine models must produce identical stats no matter
-// which format fed them. The 620/620+ legs consume the PPC-target trace
+// which encoding fed them. The 620/620+ legs consume the PPC-target trace
 // and the 21164 leg the AXP-target trace, mirroring the paper's pairing.
 func TestFormatDifferential(t *testing.T) {
 	mem := NewSuiteParallel(1, 1)
@@ -103,24 +91,15 @@ func TestFormatDifferential(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					// Every decode path the format supports must
-					// materialize the identical trace.
-					paths := []bool{false}
-					if f.name != "vlt1" {
-						paths = append(paths, true) // indexed
+					gotPPC := decode(t, encPPC)
+					if gotPPC.Name != wantPPC.Name || gotPPC.Target != wantPPC.Target {
+						t.Fatalf("metadata differs: got %q/%q want %q/%q",
+							gotPPC.Name, gotPPC.Target, wantPPC.Name, wantPPC.Target)
 					}
-					var gotPPC *trace.Trace
-					for _, indexed := range paths {
-						gotPPC = decodeVia(t, encPPC, indexed)
-						if gotPPC.Name != wantPPC.Name || gotPPC.Target != wantPPC.Target {
-							t.Fatalf("metadata differs: got %q/%q want %q/%q",
-								gotPPC.Name, gotPPC.Target, wantPPC.Name, wantPPC.Target)
-						}
-						if !reflect.DeepEqual(gotPPC.Records, wantPPC.Records) {
-							t.Fatalf("decoded records differ (indexed=%v)", indexed)
-						}
+					if !reflect.DeepEqual(gotPPC.Records, wantPPC.Records) {
+						t.Fatal("decoded records differ")
 					}
-					gotAXP := decodeVia(t, encAXP, f.name != "vlt1")
+					gotAXP := decode(t, encAXP)
 					if !reflect.DeepEqual(gotAXP.Records, wantAXP.Records) {
 						t.Fatal("decoded AXP records differ")
 					}

@@ -49,12 +49,12 @@ func pipeDrainBatch(t *testing.T, p *Pipe, bufSize int) ([]trace.Record, trace.A
 
 // TestPipeNextBatchMatchesNext is the annotation-layer batch differential:
 // for every paper configuration, NextBatch over both the in-memory slice
-// source and the VLT1 Reader must produce exactly the records, states and
-// unit statistics of the record-at-a-time Pipe.
+// source and the trace-file reader must produce exactly the records, states
+// and unit statistics of the record-at-a-time Pipe.
 func TestPipeNextBatchMatchesNext(t *testing.T) {
 	tr := mixedTrace(4096)
 	var enc bytes.Buffer
-	if err := trace.Write(&enc, tr); err != nil {
+	if err := trace.Write2(&enc, tr, trace.Writer2Options{BlockRecords: 1000}); err != nil {
 		t.Fatal(err)
 	}
 	for _, cfg := range Configs {
@@ -80,8 +80,8 @@ func TestPipeNextBatchMatchesNext(t *testing.T) {
 					t.Fatalf("bufSize %d (slice src): stats diverged", bufSize)
 				}
 
-				// VLT1 Reader underneath.
-				rd, err := trace.NewReader(bytes.NewReader(enc.Bytes()))
+				// Trace-file reader underneath.
+				rd, err := trace.NewIndexedReaderBytes(enc.Bytes())
 				if err != nil {
 					t.Fatal(err)
 				}

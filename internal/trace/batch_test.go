@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bytes"
 	"errors"
 	"io"
 	"reflect"
@@ -10,7 +9,7 @@ import (
 
 // drainNext decodes an entire stream record-at-a-time, copying each record,
 // and returns the records plus the terminal error (nil for a clean EOF).
-func drainNext(r *Reader) ([]Record, error) {
+func drainNext(r Source) ([]Record, error) {
 	var recs []Record
 	for {
 		rec, err := r.Next()
@@ -26,7 +25,7 @@ func drainNext(r *Reader) ([]Record, error) {
 
 // drainBatch decodes an entire stream via NextBatch with the given buffer
 // size and returns the records plus the terminal error (nil for clean EOF).
-func drainBatch(r *Reader, bufSize int) ([]Record, error) {
+func drainBatch(r Source, bufSize int) ([]Record, error) {
 	var recs []Record
 	buf := make([]Record, bufSize)
 	for {
@@ -43,12 +42,12 @@ func drainBatch(r *Reader, bufSize int) ([]Record, error) {
 
 // TestReaderNextBatchMatchesNext is the batch layer's codec differential:
 // NextBatch must decode exactly the record sequence Next does, for buffer
-// sizes spanning the degenerate (1), the awkward (odd, smaller than the
-// peek window) and the typical (pump-sized and larger).
+// sizes spanning the degenerate (1), the awkward (odd, straddling block
+// boundaries) and the typical (batch-sized and larger than a block).
 func TestReaderNextBatchMatchesNext(t *testing.T) {
-	enc := encodeTrace(genTrace(5003))
+	enc := encodeVLT2(genTrace(5003), Writer2Options{BlockRecords: 512})
 	want, err := func() ([]Record, error) {
-		r, err := NewReader(bytes.NewReader(enc))
+		r, err := NewIndexedReaderBytes(enc)
 		if err != nil {
 			return nil, err
 		}
@@ -58,7 +57,7 @@ func TestReaderNextBatchMatchesNext(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, bufSize := range []int{1, 3, 7, 64, 256, 4096} {
-		r, err := NewReader(bytes.NewReader(enc))
+		r, err := NewIndexedReaderBytes(enc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,12 +71,12 @@ func TestReaderNextBatchMatchesNext(t *testing.T) {
 	}
 }
 
-// TestReaderNextBatchErrorsMatchNext truncates and corrupts encoded streams
-// at every byte offset: the batched reader must deliver exactly the records
-// the record-at-a-time reader delivers and then fail with the identical
-// error message (the fast path falls back to Next for anything invalid).
+// TestReaderNextBatchErrorsMatchNext truncates and corrupts an encoded
+// multi-block file at every seventh byte offset: the batched reader must
+// deliver exactly the records the record-at-a-time reader delivers and
+// then fail with the identical error message.
 func TestReaderNextBatchErrorsMatchNext(t *testing.T) {
-	enc := encodeTrace(genTrace(64))
+	enc := encodeVLT2(genTrace(64), Writer2Options{BlockRecords: 7})
 	for off := 10; off < len(enc); off += 7 {
 		// Truncation at off.
 		runBatchErrDiff(t, enc[:off])
@@ -89,14 +88,14 @@ func TestReaderNextBatchErrorsMatchNext(t *testing.T) {
 }
 
 // runBatchErrDiff decodes enc through both paths and requires identical
-// record prefixes and identical terminal errors. Header-level failures make
-// NewReader itself fail; those are trivially identical.
+// record prefixes and identical terminal errors. Header, footer and index
+// failures make the open itself fail; those are trivially identical.
 func runBatchErrDiff(t *testing.T, enc []byte) {
 	t.Helper()
-	r1, err1 := NewReader(bytes.NewReader(enc))
-	r2, err2 := NewReader(bytes.NewReader(enc))
+	r1, err1 := NewIndexedReaderBytes(enc)
+	r2, err2 := NewIndexedReaderBytes(enc)
 	if (err1 == nil) != (err2 == nil) {
-		t.Fatalf("NewReader divergence: %v vs %v", err1, err2)
+		t.Fatalf("open divergence: %v vs %v", err1, err2)
 	}
 	if err1 != nil {
 		return
@@ -164,13 +163,13 @@ func drainSlabs(t *testing.T, sr *SlabReader) ([]Record, []PredState) {
 }
 
 // TestSlabReaderMatchesReader pins both SlabReader branches: slabs refilled
-// through NextBatch (a NoLVP-wrapped Reader) and zero-copy spans (an
+// through NextBatch (a NoLVP-wrapped trace reader) and zero-copy spans (an
 // in-memory trace) must yield exactly the per-record sequence of the
 // unbuffered source, with the PredNone states of an un-annotated stream.
 func TestSlabReaderMatchesReader(t *testing.T) {
 	tr := genTrace(3001)
-	enc := encodeTrace(tr)
-	r1, err := NewReader(bytes.NewReader(enc))
+	enc := encodeVLT2(tr, Writer2Options{BlockRecords: 1000})
+	r1, err := NewIndexedReaderBytes(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +177,7 @@ func TestSlabReaderMatchesReader(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := NewReader(bytes.NewReader(enc))
+	r2, err := NewIndexedReaderBytes(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,27 +210,5 @@ func TestSlabReaderDeliversRecordsBeforeError(t *testing.T) {
 	}
 	if _, _, err := sr.Next(); err != boom {
 		t.Fatalf("after drain: err = %v, want boom", err)
-	}
-}
-
-// TestReaderNextBatchAllocFree pins the batched decode hot path at zero
-// allocations per batch once the reader is constructed.
-func TestReaderNextBatchAllocFree(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are meaningless under the race detector")
-	}
-	enc := encodeTrace(genTrace(200_000))
-	r, err := NewReader(bytes.NewReader(enc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]Record, 256)
-	avg := testing.AllocsPerRun(500, func() {
-		if _, err := r.NextBatch(buf); err != nil && err != io.EOF {
-			t.Fatal(err)
-		}
-	})
-	if avg != 0 {
-		t.Fatalf("Reader.NextBatch allocates %v allocs/batch, want 0", avg)
 	}
 }

@@ -2,6 +2,9 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
 	"reflect"
 	"testing"
 
@@ -26,63 +29,13 @@ func fuzzSeedTrace() *Trace {
 	}
 }
 
-func encodeTrace(t *Trace) []byte {
-	var buf bytes.Buffer
-	if err := Write(&buf, t); err != nil {
-		panic(err)
+// decodeVLT2 materializes a VLT2 image through the indexed reader.
+func decodeVLT2(data []byte) (*Trace, error) {
+	ir, err := NewIndexedReaderBytes(data)
+	if err != nil {
+		return nil, err
 	}
-	return buf.Bytes()
-}
-
-// FuzzRoundTrip feeds arbitrary bytes to the decoder. The invariants:
-//
-//  1. Read never panics — malformed inputs must return an error;
-//  2. any trace Read accepts is canonical: decode(encode(decode(x))) ==
-//     decode(x), record for record.
-//
-// The seed corpus covers a valid encoding of every record shape, the padded
-// count field of older streaming writers, and the malformed prefixes the
-// decoder's error paths care about.
-func FuzzRoundTrip(f *testing.F) {
-	valid := encodeTrace(fuzzSeedTrace())
-	f.Add(valid)
-	f.Add(encodeTrace(&Trace{Name: "empty", Target: "axp"}))
-	f.Add([]byte{})                                                                           // no magic
-	f.Add([]byte("VLT0"))                                                                     // wrong magic
-	f.Add([]byte("VLT1"))                                                                     // magic only
-	f.Add(valid[:len(valid)-3])                                                               // truncated mid-record
-	f.Add(append([]byte("VLT1"), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01)) // huge name length
-	f.Add(append(bytes.Clone(valid), 0xAA))                                                   // trailing garbage (ignored)
-	f.Add(padCount(fuzzSeedTrace()))                                                          // padded 10-byte count
-	f.Add(padCount(genTrace(17)))
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		tr, err := Read(bytes.NewReader(data))
-		if err != nil {
-			return // malformed input rejected; that is the contract
-		}
-		// Accepted input: encoding must succeed and decode back to the
-		// exact same records.
-		var buf bytes.Buffer
-		if err := Write(&buf, tr); err != nil {
-			t.Fatalf("Write of decoded trace failed: %v", err)
-		}
-		tr2, err := Read(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatalf("re-decode of encoded trace failed: %v", err)
-		}
-		if tr.Name != tr2.Name || tr.Target != tr2.Target {
-			t.Fatalf("header drift: %q/%q -> %q/%q", tr.Name, tr.Target, tr2.Name, tr2.Target)
-		}
-		if len(tr.Records) != len(tr2.Records) {
-			t.Fatalf("record count drift: %d -> %d", len(tr.Records), len(tr2.Records))
-		}
-		for i := range tr.Records {
-			if !reflect.DeepEqual(tr.Records[i], tr2.Records[i]) {
-				t.Fatalf("record %d drift:\n got %+v\nwant %+v", i, tr2.Records[i], tr.Records[i])
-			}
-		}
-	})
+	return ReadAll(ir)
 }
 
 // TestRoundTripSeed pins decode(encode(t)) == t for the seed trace in a
@@ -90,7 +43,7 @@ func FuzzRoundTrip(f *testing.F) {
 // under -fuzz.
 func TestRoundTripSeed(t *testing.T) {
 	want := fuzzSeedTrace()
-	got, err := Read(bytes.NewReader(encodeTrace(want)))
+	got, err := decodeVLT2(encodeVLT2(want, Writer2Options{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,43 +55,75 @@ func TestRoundTripSeed(t *testing.T) {
 	}
 }
 
-// TestReadRejectsMalformed pins the decoder's strictness: inconsistent
-// flag/opcode combinations and resource-exhaustion headers error cleanly.
+// oneBlockFile builds a VLT2 image holding a single raw block with the
+// given header fields and payload, with a correct block CRC, footer and
+// trailer, so the record decoder's own validity rules — not a checksum —
+// are what reject a malformed payload.
+func oneBlockFile(count, firstPC, firstAddr uint64, payload []byte) []byte {
+	out := append([]byte(magic2), version2, 1, 'x', 1, 'y')
+	off := uint64(len(out))
+	h := blockHdr2{count: count, rawLen: uint64(len(payload)), encLen: uint64(len(payload)),
+		firstPC: firstPC, firstAddr: firstAddr}
+	blk := h.appendWire(nil)
+	blk = binary.LittleEndian.AppendUint32(blk, crc32.Update(crc32.Checksum(blk, castagnoli), castagnoli, payload))
+	blk = append(blk, payload...)
+	out = append(out, blk...)
+	fOff := uint64(len(out))
+	f := []byte{blockKindFooter}
+	f = appendUvarint(f, 1)
+	f = appendUvarint(f, off)
+	f = appendUvarint(f, uint64(len(blk)))
+	f = appendUvarint(f, count)
+	f = appendUvarint(f, count)
+	f = binary.LittleEndian.AppendUint32(f, crc32.Checksum(f, castagnoli))
+	f = binary.LittleEndian.AppendUint64(f, fOff)
+	return append(append(out, f...), trailerMagic2...)
+}
+
+// TestReadRejectsMalformed pins the decoder's strictness: records whose
+// fields contradict their opcode, reserved bits, and resource-exhaustion
+// counts error cleanly even when every checksum is correct.
 func TestReadRejectsMalformed(t *testing.T) {
-	valid := encodeTrace(fuzzSeedTrace())
+	add := Record{PC: 0x1000, Op: isa.ADD, Rd: 5, Ra: 3, Rb: 4}
+	addPayload, _, _ := appendRecord2(nil, &add, add.PC, 0)
+	if _, err := decodeVLT2(oneBlockFile(1, add.PC, 0, addPayload)); err != nil {
+		t.Fatalf("hand-built block rejected before any mutation: %v", err)
+	}
 	cases := []struct {
-		name   string
-		mutate func([]byte) []byte
+		name string
+		data func() []byte
+		want error
 	}{
-		{"bad magic", func(b []byte) []byte { b[0] = 'X'; return b }},
-		{"unknown flag bits", func(b []byte) []byte {
-			// First record's flag byte follows magic + "seed" + "ppc"
-			// (uvarint len + bytes each) + count uvarint.
-			b[4+5+4+1] |= 0x80
+		{"bad magic", func() []byte {
+			b := encodeVLT2(fuzzSeedTrace(), Writer2Options{})
+			b[0] = 'X'
 			return b
-		}},
-		{"truncated", func(b []byte) []byte { return b[:len(b)-1] }},
-		{"huge record count", func([]byte) []byte {
-			var buf bytes.Buffer
-			buf.WriteString("VLT1")
-			buf.Write([]byte{1, 'x'}) // name "x"
-			buf.Write([]byte{1, 'y'}) // target "y"
-			// count = 2^33: over the plausibility bound.
-			buf.Write([]byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01})
-			return buf.Bytes()
-		}},
-		{"mem flag on non-mem op", func([]byte) []byte {
-			tr := &Trace{Name: "x", Target: "y", Records: []Record{{PC: 4, Op: isa.ADD}}}
-			b := encodeTrace(tr)
-			b[4+2+2+1] |= flagMem // flip the ADD record's flag byte
-			return b
-		}},
+		}, ErrBadMagic},
+		{"unknown flag bits", func() []byte {
+			p := bytes.Clone(addPayload)
+			p[3] |= 0x80 // a reserved bit above hasVal
+			return oneBlockFile(1, add.PC, 0, p)
+		}, ErrCorrupt},
+		{"truncated", func() []byte {
+			b := encodeVLT2(fuzzSeedTrace(), Writer2Options{})
+			return b[:len(b)-1]
+		}, ErrCorrupt},
+		{"huge record count", func() []byte {
+			return oneBlockFile(MaxBlockRecords+1, add.PC, 0, addPayload)
+		}, ErrCorrupt},
+		{"mem flag on non-mem op", func() []byte {
+			// The opcode implies the memory fields: an ADD relabelled as a
+			// load claims a size, address and value its payload lacks.
+			p := bytes.Clone(addPayload)
+			p[0] = byte(isa.LD)
+			return oneBlockFile(1, add.PC, 0, p)
+		}, ErrCorrupt},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			data := tc.mutate(bytes.Clone(valid))
-			if _, err := Read(bytes.NewReader(data)); err == nil {
-				t.Fatalf("Read accepted malformed input (%s)", tc.name)
+			_, err := decodeVLT2(tc.data())
+			if !errors.Is(err, tc.want) {
+				t.Fatalf("decode error %v, want %v", err, tc.want)
 			}
 		})
 	}

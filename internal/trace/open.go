@@ -1,71 +1,44 @@
 package trace
 
 import (
-	"bufio"
-	"fmt"
 	"io"
 	"os"
+
+	"lvp/internal/obs"
 )
 
-// Decoder is the format-independent streaming read seam: both the VLT1
-// Reader and the VLT2 readers satisfy it, so every consumer of trace files
-// works on either format. Count is the header/index record count when the
-// format carries one up front (VLT1 always, indexed VLT2 always) and 0 when
-// it is not yet known (sequential VLT2 before its footer).
+// Decoder is the read side of a trace file: the header, the record count
+// (known up front from the footer index), the block layout, seeking, and
+// the Source contract for the records themselves. IndexedReader is its
+// implementation.
 type Decoder interface {
 	Name() string
 	Target() string
 	Count() uint64
 	Decoded() uint64
+	Blocks() int
+	WireBytes() uint64
+	SeekRecord(n uint64) error
+	SetMetrics(m *obs.Registry)
 	Source
+	io.Closer
 }
 
-// Open auto-detects the stream's format on its magic bytes and returns the
-// matching sequential Decoder. Any io.Reader works — pipes included; use
-// OpenFile to get seeking and zero-copy block access on VLT2 files.
-func Open(r io.Reader) (Decoder, error) {
-	br, ok := r.(*bufio.Reader)
-	if !ok {
-		br = bufio.NewReaderSize(r, 1<<16)
-	}
-	m, err := br.Peek(4)
-	if err != nil {
-		return nil, fmt.Errorf("trace: reading magic: %w", err)
-	}
-	switch string(m) {
-	case magic:
-		return NewReader(br)
-	case magic2:
-		return NewReader2(br)
-	}
-	return nil, ErrBadMagic
-}
-
-// OpenFile auto-detects f's format and returns the strongest Decoder the
-// format supports: an IndexedReader for VLT2 (O(log blocks) seeking,
-// zero-copy block access) or a streaming Reader for VLT1. The file
-// must stay open while the Decoder is in use; if the Decoder implements
-// io.Closer (the indexed reader does, to release its mapping), close it
-// before closing f.
+// OpenFile opens the VLT2 trace in f through its footer index, mapping the
+// file into memory where the platform supports it. The file must stay open
+// while the Decoder is in use; Close the Decoder, which releases the
+// mapping, before closing f. A VLT1 file fails with an error that wraps
+// ErrBadMagic and names the fix.
 func OpenFile(f *os.File) (Decoder, error) {
-	var m [4]byte
-	if _, err := f.ReadAt(m[:], 0); err != nil {
-		return nil, fmt.Errorf("trace: reading magic: %w", err)
+	st, err := f.Stat()
+	if err != nil {
+		return nil, err
 	}
-	switch string(m[:]) {
-	case magic:
-		if _, err := f.Seek(0, io.SeekStart); err != nil {
-			return nil, err
-		}
-		return NewReader(bufio.NewReaderSize(f, 1<<16))
-	case magic2:
-		st, err := f.Stat()
-		if err != nil {
-			return nil, err
-		}
-		return NewIndexedReader(f, st.Size())
+	ir, err := NewIndexedReader(f, st.Size())
+	if err != nil {
+		return nil, err
 	}
-	return nil, ErrBadMagic
+	return ir, nil
 }
 
 // ReadAll drains d into an in-memory Trace.

@@ -1,9 +1,9 @@
 package trace
 
 import (
-	"bufio"
 	"io"
 	"os"
+	"path/filepath"
 	"runtime"
 	"strconv"
 	"strings"
@@ -45,11 +45,13 @@ func vmHWMKB(t *testing.T) int64 {
 }
 
 // TestStreamRSS is the bounded-memory gate for the streaming trace path: a
-// synthetic 10M-record trace is encoded by the VLT2 Writer2 into a pipe and
-// decoded by the sequential Reader2 on the other end, and the process peak
-// RSS must stay far below what materializing the trace would cost. A
-// regression that buffers the stream anywhere (writer, pipe, reader, or an
-// accumulator that grows per record) trips the bound.
+// synthetic 10M-record trace is encoded by Writer2 into a temporary file and
+// decoded by the IndexedReader through a plain io.ReaderAt, and the process
+// peak RSS must stay far below what materializing the trace would cost. The
+// ReadAt path keeps the file out of the address space (mapped pages would
+// count as resident), so a regression that buffers the stream anywhere
+// (writer, reader, or an accumulator that grows per record) trips the
+// bound.
 func TestStreamRSS(t *testing.T) {
 	if testing.Short() {
 		t.Skip("10M-record stream; skipped in -short")
@@ -58,31 +60,35 @@ func TestStreamRSS(t *testing.T) {
 		t.Skip("VmHWM is read from /proc; linux only")
 	}
 
-	seed := genTrace(64).Records
-	pr, pw := io.Pipe()
-	werr := make(chan error, 1)
-	go func() {
-		defer pw.Close()
-		werr <- func() error {
-			sw, err := NewWriter2Opts(pw, "rss", "ppc", Writer2Options{})
-			if err != nil {
-				return err
-			}
-			rec := Record{}
-			for i := 0; i < streamRSSRecords; i++ {
-				rec = seed[i%len(seed)]
-				rec.PC = uint64(0x1000 + 4*i)
-				if err := sw.WriteRecord(&rec); err != nil {
-					return err
-				}
-			}
-			return sw.Close()
-		}()
-	}()
-
-	sr, err := NewReader2(bufio.NewReaderSize(pr, 1<<16))
+	f, err := os.Create(filepath.Join(t.TempDir(), "rss.vlt2"))
 	if err != nil {
-		t.Fatalf("NewReader2: %v", err)
+		t.Fatal(err)
+	}
+	defer f.Close()
+	sw, err := NewWriter2Opts(f, "rss", "ppc", Writer2Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seed := genTrace(64).Records
+	for i := 0; i < streamRSSRecords; i++ {
+		rec := seed[i%len(seed)]
+		rec.PC = uint64(0x1000 + 4*i)
+		if err := sw.WriteRecord(&rec); err != nil {
+			t.Fatalf("WriteRecord %d: %v", i, err)
+		}
+	}
+	if err := sw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := f.Stat()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Hiding *os.File behind a bare io.ReaderAt selects the ReadAt path.
+	sr, err := NewIndexedReader(struct{ io.ReaderAt }{f}, st.Size())
+	if err != nil {
+		t.Fatalf("NewIndexedReader: %v", err)
 	}
 	z := NewSummarizer(sr.Name(), sr.Target())
 	n := 0
@@ -97,11 +103,8 @@ func TestStreamRSS(t *testing.T) {
 		z.Add(rec)
 		n++
 	}
-	if err := <-werr; err != nil {
-		t.Fatalf("writer: %v", err)
-	}
 	if n != streamRSSRecords || sr.Count() != streamRSSRecords {
-		t.Fatalf("decoded %d records (footer count %d), want %d", n, sr.Count(), streamRSSRecords)
+		t.Fatalf("decoded %d records (index count %d), want %d", n, sr.Count(), streamRSSRecords)
 	}
 	if got := z.Summary().Instructions; got != streamRSSRecords {
 		t.Fatalf("summarizer saw %d instructions, want %d", got, streamRSSRecords)

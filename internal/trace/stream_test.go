@@ -1,10 +1,10 @@
 package trace
 
 import (
-	"bytes"
+	"encoding/binary"
 	"errors"
-	"io"
-	"reflect"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -58,287 +58,133 @@ func genTrace(n int) *Trace {
 	return t
 }
 
-// padCount encodes t as VLT1 with the record count stored as a maximally
-// padded 10-byte uvarint (continuation bit set on the first nine bytes) —
-// the header layout older streaming writers left behind when they
-// backpatched the count at Close. No writer emits it, but readers must
-// keep accepting such files.
-func padCount(t *Trace) []byte {
-	minimal := encodeTrace(t)
-	hdr := len(magic) +
-		uvarintLen(uint64(len(t.Name))) + len(t.Name) +
-		uvarintLen(uint64(len(t.Target))) + len(t.Target)
-	out := bytes.Clone(minimal[:hdr])
-	v := uint64(len(t.Records))
-	for i := 0; i < 9; i++ {
-		out = append(out, byte(v&0x7f)|0x80)
-		v >>= 7
-	}
-	out = append(out, byte(v))
-	return append(out, minimal[hdr+uvarintLen(uint64(len(t.Records))):]...)
-}
-
-// decodeStream drains a Reader into a Trace, the long way around, so tests
-// compare the streaming path against Read explicitly.
-func decodeStream(tb testing.TB, data []byte) (*Reader, *Trace) {
-	tb.Helper()
-	sr, err := NewReader(bytes.NewReader(data))
-	if err != nil {
-		tb.Fatalf("NewReader: %v", err)
-	}
-	t := &Trace{Name: sr.Name(), Target: sr.Target()}
-	for {
-		rec, err := sr.Next()
-		if err == io.EOF {
-			return sr, t
-		}
-		if err != nil {
-			tb.Fatalf("Next (record %d): %v", len(t.Records), err)
-		}
-		t.Records = append(t.Records, *rec)
-	}
-}
-
-// TestReaderMatchesRead pins the tentpole invariant at the decode layer:
-// the record-at-a-time Reader yields exactly the records the whole-trace
-// Read materializes, for both count encodings.
-func TestReaderMatchesRead(t *testing.T) {
-	want := genTrace(1000)
-	for _, enc := range []struct {
-		name string
-		data []byte
-	}{
-		{"minimal count", encodeTrace(want)},
-		{"padded count", padCount(want)},
-	} {
-		t.Run(enc.name, func(t *testing.T) {
-			ref, err := Read(bytes.NewReader(enc.data))
-			if err != nil {
-				t.Fatalf("Read: %v", err)
-			}
-			sr, got := decodeStream(t, enc.data)
-			if got.Name != ref.Name || got.Target != ref.Target {
-				t.Fatalf("header: got %q/%q, want %q/%q", got.Name, got.Target, ref.Name, ref.Target)
-			}
-			if !reflect.DeepEqual(got.Records, ref.Records) {
-				t.Fatal("streaming decode differs from Read")
-			}
-			if !reflect.DeepEqual(got.Records, want.Records) {
-				t.Fatal("decode differs from the source records")
-			}
-			if sr.Decoded() != sr.Count() || sr.Decoded() != uint64(len(want.Records)) {
-				t.Fatalf("Decoded()=%d Count()=%d, want %d", sr.Decoded(), sr.Count(), len(want.Records))
-			}
-			// EOF is sticky.
-			for i := 0; i < 3; i++ {
-				if _, err := sr.Next(); err != io.EOF {
-					t.Fatalf("Next after EOF: %v", err)
-				}
-			}
-		})
-	}
-}
-
-// TestPaddedEncodingLayout pins that a VLT1 header whose record count is
-// the padded 10-byte uvarint decodes exactly like the minimal one: same
-// count, same records. Older streaming writers wrote that layout, and their
-// files must stay readable. It also pins the layout itself: the padded file
-// differs from the minimal one only in the count field.
-func TestPaddedEncodingLayout(t *testing.T) {
-	tr := genTrace(321)
-	minimal := encodeTrace(tr)
-	padded := padCount(tr)
-	hdr := len(magic) + 1 + len(tr.Name) + 1 + len(tr.Target)
-	minCount := uvarintLen(uint64(len(tr.Records)))
-	if !bytes.Equal(minimal[:hdr], padded[:hdr]) {
-		t.Fatal("headers before the count field differ")
-	}
-	// 321 = 2<<7 | 0x41: groups 0x41 and 2, seven empty groups, then a
-	// zero final byte; all but the final byte carry the continuation bit.
-	wantCount := []byte{0xc1, 0x82, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00}
-	if !bytes.Equal(padded[hdr:hdr+10], wantCount) {
-		t.Fatalf("count field % x, want % x", padded[hdr:hdr+10], wantCount)
-	}
-	if !bytes.Equal(minimal[hdr+minCount:], padded[hdr+10:]) {
-		t.Fatal("record streams after the count field differ")
-	}
-	sr, got := decodeStream(t, padded)
-	if sr.Count() != uint64(len(tr.Records)) {
-		t.Fatalf("Count() = %d, want %d", sr.Count(), len(tr.Records))
-	}
-	if got.Name != tr.Name || got.Target != tr.Target || !reflect.DeepEqual(got.Records, tr.Records) {
-		t.Fatal("padded-count file does not decode to the source trace")
-	}
-}
-
 // TestHeaderStringCap pins the header-string allocation cap: a header
 // declaring a name or target longer than MaxHeaderString is rejected with
-// ErrStringTooLong before anything is allocated, while a string of exactly
-// MaxHeaderString is accepted.
+// ErrStringTooLong before anything is allocated, a string of exactly
+// MaxHeaderString is accepted, and the writer never emits an over-cap
+// header.
 func TestHeaderStringCap(t *testing.T) {
 	oversize := func(declared uint64) []byte {
-		var buf bytes.Buffer
-		buf.WriteString(magic)
-		writeUvarintBuf(&buf, declared)
-		return buf.Bytes()
+		return binary.AppendUvarint(append([]byte(magic2), version2), declared)
 	}
 	t.Run("name over cap", func(t *testing.T) {
-		_, err := NewReader(bytes.NewReader(oversize(MaxHeaderString + 1)))
+		_, err := NewIndexedReaderBytes(oversize(MaxHeaderString + 1))
 		if !errors.Is(err, ErrStringTooLong) {
-			t.Fatalf("NewReader = %v, want ErrStringTooLong", err)
+			t.Fatalf("open = %v, want ErrStringTooLong", err)
+		}
+	})
+	t.Run("target over cap", func(t *testing.T) {
+		b := binary.AppendUvarint(append([]byte(magic2), version2, 1, 'n'), MaxHeaderString+1)
+		_, err := NewIndexedReaderBytes(b)
+		if !errors.Is(err, ErrStringTooLong) {
+			t.Fatalf("open = %v, want ErrStringTooLong", err)
 		}
 	})
 	t.Run("absurd length, tiny input", func(t *testing.T) {
 		// A 1<<60 declared length with no bytes behind it must fail on the
 		// length check, not attempt the allocation and fail on ReadFull.
-		_, err := NewReader(bytes.NewReader(oversize(1 << 60)))
+		_, err := NewIndexedReaderBytes(oversize(1 << 60))
 		if !errors.Is(err, ErrStringTooLong) {
-			t.Fatalf("NewReader = %v, want ErrStringTooLong", err)
+			t.Fatalf("open = %v, want ErrStringTooLong", err)
 		}
 	})
 	t.Run("read path too", func(t *testing.T) {
-		_, err := Read(bytes.NewReader(oversize(MaxHeaderString + 1)))
-		if !errors.Is(err, ErrStringTooLong) {
-			t.Fatalf("Read = %v, want ErrStringTooLong", err)
+		// The same check on the file path OpenFile takes.
+		path := filepath.Join(t.TempDir(), "long.vlt2")
+		if err := os.WriteFile(path, oversize(MaxHeaderString+1), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		if _, err := OpenFile(f); !errors.Is(err, ErrStringTooLong) {
+			t.Fatalf("OpenFile = %v, want ErrStringTooLong", err)
 		}
 	})
 	t.Run("exactly at cap accepted", func(t *testing.T) {
 		name := strings.Repeat("n", MaxHeaderString)
-		tr := &Trace{Name: name, Target: "ppc"}
-		got, err := Read(bytes.NewReader(encodeTrace(tr)))
+		got, err := decodeVLT2(encodeVLT2(&Trace{Name: name, Target: "ppc"}, Writer2Options{}))
 		if err != nil {
-			t.Fatalf("Read rejected a %d-byte name: %v", MaxHeaderString, err)
+			t.Fatalf("open rejected a %d-byte name: %v", MaxHeaderString, err)
 		}
 		if got.Name != name {
 			t.Fatal("cap-length name did not round-trip")
 		}
 	})
-}
-
-func writeUvarintBuf(buf *bytes.Buffer, v uint64) {
-	var tmp [10]byte
-	for i := 0; ; i++ {
-		if v < 0x80 {
-			tmp[i] = byte(v)
-			buf.Write(tmp[:i+1])
-			return
-		}
-		tmp[i] = byte(v&0x7f) | 0x80
-		v >>= 7
-	}
-}
-
-// FuzzStreamRoundTrip feeds arbitrary bytes to the record-at-a-time
-// Reader. Any trace it fully decodes is re-encoded with the padded 10-byte
-// count of older streaming writers and decoded again through the Reader;
-// the header and every record must come back unchanged. FuzzRoundTrip
-// checks the same canonicality through Read and the minimal count.
-func FuzzStreamRoundTrip(f *testing.F) {
-	valid := encodeTrace(fuzzSeedTrace())
-	f.Add(valid)
-	f.Add(padCount(fuzzSeedTrace()))
-	f.Add(encodeTrace(&Trace{Name: "empty", Target: "axp"}))
-	f.Add(padCount(genTrace(17)))
-	f.Add([]byte{})
-	f.Add([]byte("VLT0"))
-	f.Add([]byte("VLT1"))
-	f.Add(valid[:len(valid)-3])
-	f.Add(append([]byte("VLT1"), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01))
-	f.Add(append(bytes.Clone(valid), 0xAA))
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		sr, err := NewReader(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		tr := &Trace{Name: sr.Name(), Target: sr.Target()}
-		for {
-			rec, err := sr.Next()
-			if err == io.EOF {
-				break
+	t.Run("writer rejects over cap", func(t *testing.T) {
+		// A name or target the reader would reject fails before a single
+		// byte is written.
+		long := strings.Repeat("n", MaxHeaderString+1)
+		for _, tr := range []*Trace{{Name: long, Target: "ppc"}, {Name: "x", Target: long}} {
+			var buf strings.Builder
+			err := Write2(&buf, tr, Writer2Options{})
+			if !errors.Is(err, ErrStringTooLong) {
+				t.Fatalf("Write2 with a %d/%d-byte name/target = %v, want ErrStringTooLong",
+					len(tr.Name), len(tr.Target), err)
 			}
-			if err != nil {
-				return // malformed record rejected; that is the contract
-			}
-			tr.Records = append(tr.Records, *rec)
-		}
-		sr2, got := decodeStream(t, padCount(tr))
-		if sr2.Count() != uint64(len(tr.Records)) {
-			t.Fatalf("padded Count() = %d, want %d", sr2.Count(), len(tr.Records))
-		}
-		if got.Name != tr.Name || got.Target != tr.Target {
-			t.Fatalf("header drift: %q/%q -> %q/%q", tr.Name, tr.Target, got.Name, got.Target)
-		}
-		if len(got.Records) != len(tr.Records) {
-			t.Fatalf("record count drift: %d -> %d", len(tr.Records), len(got.Records))
-		}
-		for i := range tr.Records {
-			if !reflect.DeepEqual(tr.Records[i], got.Records[i]) {
-				t.Fatalf("record %d drift:\n got %+v\nwant %+v", i, got.Records[i], tr.Records[i])
+			if buf.Len() != 0 {
+				t.Fatalf("Write2 wrote %d bytes before failing", buf.Len())
 			}
 		}
 	})
 }
 
+// TestOpenRejectsVLT1 pins the retired format's clean failure: a file with
+// the VLT1 magic fails on open with an error that wraps ErrBadMagic, names
+// the format and the tool that regenerates it, and never panics however
+// little follows the magic.
+func TestOpenRejectsVLT1(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		data []byte
+	}{
+		{"magic only", []byte("VLT1")},
+		{"header", []byte("VLT1\x04grep\x03ppc\x00")},
+		{"header and records", append([]byte("VLT1\x01x\x01y\x02"), make([]byte, 64)...)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := NewIndexedReaderBytes(tc.data)
+			if !errors.Is(err, ErrBadMagic) {
+				t.Fatalf("open = %v, want ErrBadMagic", err)
+			}
+			for _, want := range []string{"VLT1", "no longer read", "tracegen"} {
+				if !strings.Contains(err.Error(), want) {
+					t.Fatalf("error %q does not mention %q", err, want)
+				}
+			}
+		})
+	}
+	if _, err := NewIndexedReaderBytes([]byte("VLT0")); !errors.Is(err, ErrBadMagic) || strings.Contains(err.Error(), "VLT1") {
+		t.Fatalf("unknown magic: error %v, want the plain ErrBadMagic", err)
+	}
+}
+
 // TestReaderNextAllocFree is the decode-side allocation-regression gate:
-// after construction, Reader.Next must not allocate per record. A
-// regression here silently re-introduces GC pressure proportional to trace
-// length, which is exactly what the streaming layer exists to avoid.
+// the reader's per-record Next must not allocate. A regression here
+// silently re-introduces GC pressure proportional to trace length, which is
+// exactly what the streaming layer exists to avoid.
 func TestReaderNextAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	const n = 8192
-	data := encodeTrace(genTrace(n))
-	sr, err := NewReader(bytes.NewReader(data))
+	ir, err := NewIndexedReaderBytes(encodeVLT2(genTrace(n), Writer2Options{}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 16; i++ { // warm up
-		if _, err := sr.Next(); err != nil {
+		if _, err := ir.Next(); err != nil {
 			t.Fatal(err)
 		}
 	}
 	avg := testing.AllocsPerRun(4096, func() {
-		if _, err := sr.Next(); err != nil {
+		if _, err := ir.Next(); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if avg != 0 {
-		t.Fatalf("Reader.Next allocates %.2f objects/record, want 0", avg)
-	}
-}
-
-// BenchmarkStreamDecode measures the record-at-a-time decode hot path;
-// BenchmarkMemDecode is the whole-trace Read baseline on the same bytes.
-func BenchmarkStreamDecode(b *testing.B) {
-	data := encodeTrace(genTrace(1 << 16))
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sr, err := NewReader(bytes.NewReader(data))
-		if err != nil {
-			b.Fatal(err)
-		}
-		for {
-			if _, err := sr.Next(); err == io.EOF {
-				break
-			} else if err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
-func BenchmarkMemDecode(b *testing.B) {
-	data := encodeTrace(genTrace(1 << 16))
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Read(bytes.NewReader(data)); err != nil {
-			b.Fatal(err)
-		}
+		t.Fatalf("IndexedReader.Next allocates %.2f objects/record, want 0", avg)
 	}
 }

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bytes"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -45,11 +44,7 @@ func TestSummarize(t *testing.T) {
 
 func TestCodecRoundTrip(t *testing.T) {
 	tr := sampleTrace()
-	var buf bytes.Buffer
-	if err := Write(&buf, tr); err != nil {
-		t.Fatalf("write: %v", err)
-	}
-	got, err := Read(&buf)
+	got, err := decodeVLT2(encodeVLT2(tr, Writer2Options{}))
 	if err != nil {
 		t.Fatalf("read: %v", err)
 	}
@@ -62,10 +57,10 @@ func TestCodecRoundTrip(t *testing.T) {
 }
 
 func TestCodecRejectsGarbage(t *testing.T) {
-	if _, err := Read(bytes.NewReader([]byte("NOPE----"))); err == nil {
+	if _, err := decodeVLT2([]byte("NOPE----")); err == nil {
 		t.Fatal("expected magic error")
 	}
-	if _, err := Read(bytes.NewReader([]byte("VL"))); err == nil {
+	if _, err := decodeVLT2([]byte("VL")); err == nil {
 		t.Fatal("expected short-read error")
 	}
 }
@@ -104,11 +99,7 @@ func TestCodecRoundTripProperty(t *testing.T) {
 	}
 	for range 50 {
 		tr := gen()
-		var buf bytes.Buffer
-		if err := Write(&buf, tr); err != nil {
-			t.Fatalf("write: %v", err)
-		}
-		got, err := Read(&buf)
+		got, err := decodeVLT2(encodeVLT2(tr, Writer2Options{BlockRecords: 1 + rnd.Intn(64)}))
 		if err != nil {
 			t.Fatalf("read: %v", err)
 		}
@@ -159,17 +150,13 @@ func TestRecordInstRoundTrip(t *testing.T) {
 
 func TestCodecPersistsResultValues(t *testing.T) {
 	// Non-memory records carry result values (general value prediction);
-	// the codec must round-trip them via the flagVal path.
+	// the codec must round-trip them via the hasVal path.
 	tr := &Trace{Name: "v", Target: "axp", Records: []Record{
 		{PC: 0x1000, Op: isa.ADD, Rd: 5, Ra: 1, Rb: 2, Value: 0xCAFE},
 		{PC: 0x1004, Op: isa.FADD, Rd: 2, Ra: 1, Rb: 3, Value: 0x3FF0000000000000},
 		{PC: 0x1008, Op: isa.SUB, Rd: 6, Ra: 5, Rb: 5, Value: 0}, // zero omitted, still round-trips
 	}}
-	var buf bytes.Buffer
-	if err := Write(&buf, tr); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Read(&buf)
+	got, err := decodeVLT2(encodeVLT2(tr, Writer2Options{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,20 +168,16 @@ func TestCodecPersistsResultValues(t *testing.T) {
 func TestCodecRobustAgainstGarbage(t *testing.T) {
 	// Malformed inputs must produce errors, never panics or giant
 	// allocations. Start from a valid encoding and corrupt it.
-	var buf bytes.Buffer
-	if err := Write(&buf, sampleTrace()); err != nil {
-		t.Fatal(err)
-	}
-	valid := buf.Bytes()
+	valid := encodeVLT2(sampleTrace(), Writer2Options{BlockRecords: 3})
 	rnd := rand.New(rand.NewSource(11))
 	for i := 0; i < 500; i++ {
 		corrupt := append([]byte(nil), valid...)
-		// Flip a few random bytes (keeping the magic intact half the
-		// time so deeper paths get exercised).
+		// Flip a few random bytes (keeping the magic and version intact
+		// half the time so deeper paths get exercised).
 		n := 1 + rnd.Intn(4)
 		lo := 0
 		if rnd.Intn(2) == 0 {
-			lo = 4
+			lo = len(magic2) + 1
 		}
 		for k := 0; k < n; k++ {
 			pos := lo + rnd.Intn(len(corrupt)-lo)
@@ -210,9 +193,8 @@ func TestCodecRobustAgainstGarbage(t *testing.T) {
 					t.Fatalf("codec panicked on corrupt input: %v", r)
 				}
 			}()
-			tr, err := Read(bytes.NewReader(corrupt))
-			// Either an error, or a decode that at least respects
-			// its own record count.
+			tr, err := decodeVLT2(corrupt)
+			// Either an error or a decoded trace.
 			if err == nil && tr == nil {
 				t.Fatal("nil trace with nil error")
 			}

@@ -14,9 +14,9 @@ import (
 	"lvp/internal/isa"
 )
 
-// Block-structured trace format ("VLT2"), the successor of VLT1 for large
-// traces: records are grouped into fixed-size blocks that compress, seek and
-// decode independently.
+// Block-structured trace format ("VLT2"), the one trace file format:
+// records are grouped into fixed-size blocks that compress, seek and decode
+// independently.
 //
 //	file    := header block* footer trailer
 //	header  := magic "VLT2" | version byte (=1) | name | target
@@ -37,7 +37,8 @@ import (
 //	           crc       uint32 LE CRC32C of the footer from its kind byte to total
 //	trailer := footerOff uint64 LE | magic "VLT2.EOF"
 //
-// Strings are uvarint-length-prefixed as in VLT1. Block payloads hold the
+// Strings (name, target) are uvarint-length-prefixed, at most
+// MaxHeaderString bytes each. Block payloads hold the
 // records in a delta form that needs only the block header to decode, so any
 // block decodes independently of every other block:
 //
@@ -65,12 +66,14 @@ import (
 // reject such blocks as corrupt, naming the codec.
 //
 // The footer's index entries carry each block's absolute file offset, total
-// on-wire size (header + payload) and record count, so a reader holding an
-// io.ReaderAt can seek to record N in O(log blocks) (vlt2_index.go). The
-// trailer's fixed width lets it find the footer from the end of the file.
-// Sequential readers need none of that: blocks are self-describing, so a
-// pipe decodes front to back (vlt2_reader.go), cross-checking the footer as
-// it passes it.
+// on-wire size (header + payload) and record count, so the reader, holding
+// an io.ReaderAt, knows the record count up front and seeks to record N in
+// O(log blocks) (vlt2_index.go). The trailer's fixed width lets it find the
+// footer from the end of the file.
+//
+// The original single-stream format, VLT1, is no longer read: OpenFile
+// rejects it by name, and tracegen (or lvpasm -trace) regenerates any trace
+// as VLT2.
 
 const (
 	magic2        = "VLT2"
@@ -147,10 +150,16 @@ const (
 	maxEncRecord2 = 54
 )
 
-// Errors shared by the VLT2 readers. Decode failures wrap ErrCorrupt (and
-// ErrChecksum for CRC mismatches) so callers can distinguish malformed input
-// from I/O errors.
+// Errors returned by the VLT2 reader and writer. Decode failures wrap
+// ErrCorrupt (and ErrChecksum for CRC mismatches) so callers can
+// distinguish malformed input from I/O errors.
 var (
+	// ErrBadMagic reports that the input is not a VLT2 trace.
+	ErrBadMagic = errors.New("trace: bad magic (not a VLT2 trace file)")
+	// ErrStringTooLong reports a header name or target longer than
+	// MaxHeaderString. The reader rejects such a declared length before
+	// allocating; the writer refuses to emit one.
+	ErrStringTooLong = errors.New("trace: header string length exceeds cap")
 	// ErrCorrupt reports structurally invalid VLT2 input.
 	ErrCorrupt = errors.New("trace: corrupt VLT2 input")
 	// ErrChecksum reports a block or footer whose CRC32C does not match
@@ -159,6 +168,9 @@ var (
 	// ErrVersion reports a VLT2 file with an unsupported version byte.
 	ErrVersion = errors.New("trace: unsupported VLT2 version")
 )
+
+// MaxHeaderString caps the length of the header's name and target strings.
+const MaxHeaderString = 1 << 12
 
 // castagnoli is the CRC32C polynomial table; hardware-accelerated on amd64
 // and arm64.
@@ -322,8 +334,15 @@ type Writer2 struct {
 	done bool
 }
 
-// NewWriter2Opts returns a streaming VLT2 writer with explicit options.
+// NewWriter2Opts returns a streaming VLT2 writer with explicit options. A
+// name or target longer than MaxHeaderString fails with ErrStringTooLong
+// before anything is written, since no reader would accept the file.
 func NewWriter2Opts(w io.Writer, name, target string, opts Writer2Options) (*Writer2, error) {
+	for _, s := range []string{name, target} {
+		if len(s) > MaxHeaderString {
+			return nil, fmt.Errorf("%w (%d > %d)", ErrStringTooLong, len(s), MaxHeaderString)
+		}
+	}
 	if opts.BlockRecords == 0 {
 		opts.BlockRecords = DefaultBlockRecords
 	}
@@ -478,6 +497,13 @@ func (w *Writer2) Close() error {
 		return err
 	}
 	return nil
+}
+
+func writeString(bw *bufio.Writer, s string) {
+	var buf [binary.MaxVarintLen64]byte
+	n := binary.PutUvarint(buf[:], uint64(len(s)))
+	bw.Write(buf[:n])
+	bw.WriteString(s)
 }
 
 // Write2 encodes t to w in the VLT2 format. A zero opts selects defaults.

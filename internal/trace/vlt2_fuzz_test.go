@@ -63,22 +63,20 @@ func decodeAllVLT2(d Decoder) ([]Record, error) {
 	}
 }
 
-// FuzzVLT2RoundTrip feeds arbitrary bytes to both VLT2 decode paths. The
+// FuzzVLT2RoundTrip feeds arbitrary bytes to the VLT2 reader. The
 // invariants:
 //
-//  1. neither the sequential nor the indexed decoder ever panics — hostile
-//     input must come back as a clean error;
-//  2. when the indexed reader accepts an input, the sequential reader
-//     accepts it too and both decode the identical record sequence (the
-//     indexed reader validates strictly more: the footer index);
-//  3. any accepted input is canonical: re-encoding the decoded records and
-//     decoding again reproduces them exactly.
+//  1. the reader never panics — hostile input must come back as a clean
+//     error;
+//  2. any accepted input is canonical: re-encoding the decoded records and
+//     decoding again reproduces them exactly, under each codec and block
+//     size.
 func FuzzVLT2RoundTrip(f *testing.F) {
 	seed := &Trace{Name: "seed", Target: "ppc", Records: genRecords(300, 7)}
 	for _, opts := range fuzzCodecs {
 		f.Add(encodeVLT2(seed, opts))
 	}
-	// A block carrying a retired codec byte: rejected on both paths.
+	// A block carrying a retired codec byte: rejected as corrupt.
 	firstBlock := uint64(len(magic2) + 1 + 1 + len(seed.Name) + 1 + len(seed.Target))
 	for _, c := range retiredCodecs {
 		f.Add(setCodecByte(encodeVLT2(seed, Writer2Options{}), firstBlock, c))
@@ -93,35 +91,16 @@ func FuzzVLT2RoundTrip(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ir, err := NewIndexedReaderBytes(data)
-		var irecs []Record
-		indexedOK := false
-		if err == nil {
-			if irecs, err = decodeAllVLT2(ir); err == nil {
-				indexedOK = true
-			}
-		}
-		sr, err := NewReader2(bytes.NewReader(data))
 		if err != nil {
-			if indexedOK {
-				t.Fatalf("indexed accepted but sequential open failed: %v", err)
-			}
 			return
 		}
-		srecs, err := decodeAllVLT2(sr)
+		recs, err := decodeAllVLT2(ir)
 		if err != nil {
-			if indexedOK {
-				t.Fatalf("indexed accepted but sequential decode failed: %v", err)
-			}
 			return
 		}
-		if indexedOK && !reflect.DeepEqual(irecs, srecs) {
-			t.Fatal("indexed and sequential decode disagree on accepted input")
-		}
-		// Canonicality: accepted input must survive a re-encode round trip
-		// under each codec and block size.
-		tr := &Trace{Name: sr.Name(), Target: sr.Target(), Records: srecs}
+		tr := &Trace{Name: ir.Name(), Target: ir.Target(), Records: recs}
 		for _, opts := range fuzzCodecs {
-			re, err := NewReader2(bytes.NewReader(encodeVLT2(tr, opts)))
+			re, err := NewIndexedReaderBytes(encodeVLT2(tr, opts))
 			if err != nil {
 				t.Fatalf("re-encode (%v) rejected: %v", opts, err)
 			}
@@ -129,7 +108,7 @@ func FuzzVLT2RoundTrip(f *testing.F) {
 			if err != nil {
 				t.Fatalf("re-encode (%v) decode failed: %v", opts, err)
 			}
-			if !reflect.DeepEqual(rerecs, srecs) {
+			if !reflect.DeepEqual(rerecs, recs) {
 				t.Fatalf("re-encode (%v) changed the records", opts)
 			}
 		}
@@ -157,10 +136,8 @@ func rebuiltFooter(enc []byte, ir *IndexedReader, entries []indexEnt2, total uin
 }
 
 // TestVLT2Hostile corrupts a valid multi-block file in every structurally
-// interesting way and requires a clean error — never a panic, never silent
-// wrong data — from the decode paths that can see the damage. The indexed
-// reader must reject every case; seqFails marks the cases the sequential
-// reader (which never reads the footer index) must also reject.
+// interesting way and requires a clean error from the reader — never a
+// panic, never silent wrong data — on open or on decode.
 func TestVLT2Hostile(t *testing.T) {
 	tr := &Trace{Name: "hostile", Target: "ppc", Records: genRecords(500, 11)}
 	for _, base := range []struct {
@@ -209,70 +186,48 @@ func TestVLT2Hostile(t *testing.T) {
 			}
 
 			cases := []struct {
-				name     string
-				data     []byte
-				seqFails bool
-				want     error // sentinel the error must unwrap to, if non-nil
+				name string
+				data []byte
+				want error // sentinel the error must unwrap to, if non-nil
 			}{
-				{"truncated-mid-block", enc[:idx[1].off+idx[1].size/2], true, nil},
-				{"truncated-trailer", enc[:len(enc)-3], false, nil},
-				{"payload-flip", flip(idx[0].off + uint64(hdr0) + (idx[0].size-uint64(hdr0))/2), true, ErrCorrupt},
-				{"header-anchor-flip", flip(idx[1].off + uint64(hdr1) - 5), true, ErrCorrupt},
-				{"footer-off-zero", overwriteFooterOff(enc, 0), false, ErrCorrupt},
-				{"footer-off-into-block", overwriteFooterOff(enc, idx[0].off), false, nil},
-				{"index-overlap", rebuiltFooter(enc, ir, overlap, total), false, ErrCorrupt},
-				{"index-gap", rebuiltFooter(enc, ir, gap, total), false, ErrCorrupt},
-				{"index-lying-size", rebuiltFooter(enc, ir, lyingSize, total), false, ErrCorrupt},
-				{"footer-lying-total", rebuiltFooter(enc, ir, idx, total+1), false, ErrCorrupt},
+				{"truncated-mid-block", enc[:idx[1].off+idx[1].size/2], nil},
+				{"truncated-trailer", enc[:len(enc)-3], nil},
+				{"payload-flip", flip(idx[0].off + uint64(hdr0) + (idx[0].size-uint64(hdr0))/2), ErrCorrupt},
+				{"header-anchor-flip", flip(idx[1].off + uint64(hdr1) - 5), ErrCorrupt},
+				{"footer-off-zero", overwriteFooterOff(enc, 0), ErrCorrupt},
+				{"footer-off-into-block", overwriteFooterOff(enc, idx[0].off), nil},
+				{"index-overlap", rebuiltFooter(enc, ir, overlap, total), ErrCorrupt},
+				{"index-gap", rebuiltFooter(enc, ir, gap, total), ErrCorrupt},
+				{"index-lying-size", rebuiltFooter(enc, ir, lyingSize, total), ErrCorrupt},
+				{"footer-lying-total", rebuiltFooter(enc, ir, idx, total+1), ErrCorrupt},
 			}
 			for _, tc := range cases {
 				t.Run(tc.name, func(t *testing.T) {
-					if d, err := NewIndexedReaderBytes(tc.data); err == nil {
+					d, err := NewIndexedReaderBytes(tc.data)
+					if err == nil {
 						if _, err = decodeAllVLT2(d); err == nil {
-							t.Fatal("indexed reader accepted hostile input")
+							t.Fatal("reader accepted hostile input")
 						}
-					} else if tc.want != nil && !errors.Is(err, tc.want) {
-						t.Fatalf("indexed open error %v does not unwrap to %v", err, tc.want)
 					}
-					if !tc.seqFails {
-						return
-					}
-					d, err := NewReader2(bytes.NewReader(tc.data))
-					if err != nil {
-						return
-					}
-					if _, err = decodeAllVLT2(d); err == nil {
-						t.Fatal("sequential reader accepted hostile input")
-					} else if tc.want != nil && !errors.Is(err, tc.want) {
-						t.Fatalf("sequential error %v does not unwrap to %v", err, tc.want)
+					if tc.want != nil && !errors.Is(err, tc.want) {
+						t.Fatalf("error %v does not unwrap to %v", err, tc.want)
 					}
 				})
 			}
 
 			// A block whose codec byte names a retired fixed-width codec
-			// must fail as corrupt, with the codec named, on both paths.
+			// must fail as corrupt, with the codec named.
 			for _, c := range retiredCodecs {
 				name := removedCodecs[c]
 				t.Run("codec-"+name, func(t *testing.T) {
-					data := setCodecByte(enc, idx[1].off, c)
-					check := func(path string, err error) {
-						t.Helper()
-						if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "("+name+")") {
-							t.Fatalf("%s reader: error %v, want ErrCorrupt naming %q", path, err, name)
-						}
-					}
-					ir, err := NewIndexedReaderBytes(data)
+					ir, err := NewIndexedReaderBytes(setCodecByte(enc, idx[1].off, c))
 					if err != nil {
 						t.Fatal(err)
 					}
 					_, err = decodeAllVLT2(ir)
-					check("indexed", err)
-					sr, err := NewReader2(bytes.NewReader(data))
-					if err != nil {
-						t.Fatal(err)
+					if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "("+name+")") {
+						t.Fatalf("error %v, want ErrCorrupt naming %q", err, name)
 					}
-					_, err = decodeAllVLT2(sr)
-					check("sequential", err)
 				})
 			}
 		})

@@ -13,15 +13,17 @@ import (
 	"lvp/internal/obs"
 )
 
-// Indexed VLT2 access: with an io.ReaderAt the footer index turns a trace
-// file into a random-access collection of independently decodable blocks,
-// with O(log blocks) seeking to any record. When the underlying file can be
-// memory-mapped the reader works directly on the mapping: raw block payloads
-// decode with no copy at all.
+// Indexed VLT2 access, the one way a trace file is read: with an
+// io.ReaderAt the footer index turns a trace file into a random-access
+// collection of independently decodable blocks, with the record count known
+// up front and O(log blocks) seeking to any record. When the underlying file
+// can be memory-mapped the reader works directly on the mapping: raw block
+// payloads decode with no copy at all.
 
-// IndexedReader decodes a VLT2 file through its footer index. It satisfies
-// Decoder (sequential reads from the current position) and adds
-// SeekRecord. Not safe for concurrent use.
+// IndexedReader decodes a VLT2 file through its footer index; it is the one
+// trace-file reader and the Decoder OpenFile returns. Reads run front to
+// back from the current position, which SeekRecord moves. Not safe for
+// concurrent use.
 type IndexedReader struct {
 	ra     io.ReaderAt
 	data   []byte       // whole-file view (mmap or caller-provided); nil → ReadAt path
@@ -93,26 +95,29 @@ func (ir *IndexedReader) readAt(buf *[]byte, off uint64, n int) ([]byte, error) 
 // to the start of the footer, plausible per-entry sizes and counts, and a
 // record total equal to the entry sum.
 func (ir *IndexedReader) open(size int64) error {
-	if size < int64(trailerLen2)+5 {
-		return fmt.Errorf("%w: file too small (%d bytes)", ErrCorrupt, size)
-	}
 	// Header: magic, version, name, target.
 	ra := ir.ra
 	if ra == nil {
 		ra = bytes.NewReader(ir.data)
 	}
 	hr := bufio.NewReaderSize(io.NewSectionReader(ra, 0, size), 4096)
-	var m [5]byte
+	var m [4]byte
 	if _, err := io.ReadFull(hr, m[:]); err != nil {
 		return fmt.Errorf("trace: reading magic: %w", err)
 	}
-	if string(m[:4]) != magic2 {
+	if string(m[:]) == magic1 {
+		return fmt.Errorf("%w: VLT1 traces are no longer read; regenerate the trace as VLT2 with tracegen (or lvpasm -trace)", ErrBadMagic)
+	}
+	if string(m[:]) != magic2 {
 		return ErrBadMagic
 	}
-	if m[4] != version2 {
-		return fmt.Errorf("%w: %d", ErrVersion, m[4])
+	v, err := hr.ReadByte()
+	if err != nil {
+		return fmt.Errorf("trace: reading version: %w", err)
 	}
-	var err error
+	if v != version2 {
+		return fmt.Errorf("%w: %d", ErrVersion, v)
+	}
 	if ir.name, err = readString(hr); err != nil {
 		return fmt.Errorf("trace: reading name: %w", err)
 	}
@@ -122,6 +127,9 @@ func (ir *IndexedReader) open(size int64) error {
 	ir.hdrLen = uint64(len(magic2)) + 1 +
 		uint64(uvarintLen(uint64(len(ir.name)))+len(ir.name)) +
 		uint64(uvarintLen(uint64(len(ir.target)))+len(ir.target))
+	if size < int64(trailerLen2)+5 {
+		return fmt.Errorf("%w: file too small (%d bytes)", ErrCorrupt, size)
+	}
 
 	// Trailer.
 	var tbuf []byte
@@ -223,6 +231,28 @@ func (ir *IndexedReader) open(size int64) error {
 	}
 	ir.total = total
 	return nil
+}
+
+// magic1 opens a file in the retired VLT1 format, which open rejects by
+// name.
+const magic1 = "VLT1"
+
+// readString reads a uvarint-length-prefixed header string, rejecting a
+// declared length over MaxHeaderString before allocating: on corrupt input
+// the length is attacker-controlled.
+func readString(br *bufio.Reader) (string, error) {
+	n, err := binary.ReadUvarint(br)
+	if err != nil {
+		return "", err
+	}
+	if n > MaxHeaderString {
+		return "", fmt.Errorf("%w (%d > %d)", ErrStringTooLong, n, MaxHeaderString)
+	}
+	b := make([]byte, n)
+	if _, err := io.ReadFull(br, b); err != nil {
+		return "", err
+	}
+	return string(b), nil
 }
 
 // hdrMin2 is the smallest possible data-block wire size: kind, four 1-byte

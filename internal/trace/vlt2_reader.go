@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bufio"
 	"bytes"
 	"compress/flate"
 	"encoding/binary"
@@ -14,11 +13,12 @@ import (
 	"lvp/internal/obs"
 )
 
-// Sequential VLT2 decoding: block-at-a-time from any io.Reader, front to
-// back, no index needed. The hot path is the blockDec loop, shared with the
-// indexed reader, which decodes records straight out of an in-memory
-// payload slice into the caller's batch buffer — no bufio bookkeeping, no
-// per-byte interface dispatch, no intermediate copy.
+// VLT2 block decoding: header validation, payload fetch (decompression and
+// CRC check) and the record decoder the IndexedReader (vlt2_index.go) runs
+// per block. The hot path is the blockDec loop, which decodes records
+// straight out of an in-memory payload slice into the caller's batch
+// buffer — no bufio bookkeeping, no per-byte interface dispatch, no
+// intermediate copy.
 
 // blockHdr2 is one parsed data-block header.
 type blockHdr2 struct {
@@ -555,313 +555,4 @@ func (br *blockReader) decompress(h *blockHdr2, enc []byte) ([]byte, error) {
 		return nil, ErrChecksum
 	}
 	return raw, nil
-}
-
-// Reader2 decodes a VLT2 stream sequentially from any io.Reader: blocks are
-// self-describing, so no seeking and no footer access is needed — the footer
-// is cross-checked against the blocks actually decoded when the stream
-// reaches it. Next and NextBatch are allocation-free at steady state.
-type Reader2 struct {
-	br     *bufio.Reader
-	name   string
-	target string
-	hdrLen uint64 // file-header bytes; the first block's offset
-	read   uint64
-	total  uint64 // from the footer; valid once done
-	blocks uint64 // data blocks decoded so far
-	bytes  uint64 // on-wire block bytes consumed (header + payload)
-
-	dec    blockDec
-	fetch  blockReader
-	hdrTmp blockHdr2
-	rec    Record
-	m      v2Metrics
-	done   bool
-	err    error // sticky decode error
-}
-
-// NewReader2 reads and validates the VLT2 header from r and returns a
-// sequential reader positioned at the first record.
-func NewReader2(r io.Reader) (*Reader2, error) {
-	br, ok := r.(*bufio.Reader)
-	if !ok {
-		br = bufio.NewReaderSize(r, 1<<16)
-	}
-	var m [5]byte
-	if _, err := io.ReadFull(br, m[:]); err != nil {
-		return nil, fmt.Errorf("trace: reading magic: %w", err)
-	}
-	if string(m[:4]) != magic2 {
-		return nil, ErrBadMagic
-	}
-	if m[4] != version2 {
-		return nil, fmt.Errorf("%w: %d", ErrVersion, m[4])
-	}
-	r2 := &Reader2{br: br, m: newV2Metrics(nil)}
-	var err error
-	if r2.name, err = readString(br); err != nil {
-		return nil, fmt.Errorf("trace: reading name: %w", err)
-	}
-	if r2.target, err = readString(br); err != nil {
-		return nil, fmt.Errorf("trace: reading target: %w", err)
-	}
-	r2.hdrLen = uint64(len(magic2)) + 1 +
-		uint64(uvarintLen(uint64(len(r2.name)))+len(r2.name)) +
-		uint64(uvarintLen(uint64(len(r2.target)))+len(r2.target))
-	return r2, nil
-}
-
-// SetMetrics routes the reader's trace.v2.* counters into m (nil disables).
-func (r *Reader2) SetMetrics(m *obs.Registry) { r.m = newV2Metrics(m) }
-
-// Name returns the trace's benchmark name from the header.
-func (r *Reader2) Name() string { return r.name }
-
-// Target returns the trace's codegen target from the header.
-func (r *Reader2) Target() string { return r.target }
-
-// Count returns the file's total record count, which a sequential VLT2
-// reader only learns from the footer: it is 0 until the stream has been
-// fully drained. The indexed reader knows it up front.
-func (r *Reader2) Count() uint64 {
-	if !r.done {
-		return 0
-	}
-	return r.total
-}
-
-// Decoded returns the number of records decoded so far.
-func (r *Reader2) Decoded() uint64 { return r.read }
-
-// readBlockHeader parses the next block's kind and header. A footer kind
-// byte switches to footer parsing, which cross-checks the index against the
-// blocks this reader actually decoded and consumes the trailer.
-func (r *Reader2) readBlockHeader() (more bool, err error) {
-	kind, err := r.br.ReadByte()
-	if err != nil {
-		return false, fmt.Errorf("trace: vlt2 block %d kind: %w", r.blocks, err)
-	}
-	if kind == blockKindFooter {
-		if err := r.checkFooter(); err != nil {
-			return false, err
-		}
-		r.done = true
-		return false, nil
-	}
-	if kind != blockKindData {
-		return false, fmt.Errorf("%w: unknown block kind %d", ErrCorrupt, kind)
-	}
-	h := &r.hdrTmp
-	if h.count, err = binary.ReadUvarint(r.br); err != nil {
-		return false, fmt.Errorf("trace: vlt2 block %d count: %w", r.blocks, err)
-	}
-	if h.rawLen, err = binary.ReadUvarint(r.br); err != nil {
-		return false, fmt.Errorf("trace: vlt2 block %d raw length: %w", r.blocks, err)
-	}
-	codec, err := r.br.ReadByte()
-	if err != nil {
-		return false, fmt.Errorf("trace: vlt2 block %d codec: %w", r.blocks, err)
-	}
-	h.codec = BlockCodec(codec)
-	if h.encLen, err = binary.ReadUvarint(r.br); err != nil {
-		return false, fmt.Errorf("trace: vlt2 block %d encoded length: %w", r.blocks, err)
-	}
-	if h.firstPC, err = binary.ReadUvarint(r.br); err != nil {
-		return false, fmt.Errorf("trace: vlt2 block %d firstPC: %w", r.blocks, err)
-	}
-	if h.firstAddr, err = binary.ReadUvarint(r.br); err != nil {
-		return false, fmt.Errorf("trace: vlt2 block %d firstAddr: %w", r.blocks, err)
-	}
-	var crc [4]byte
-	if _, err := io.ReadFull(r.br, crc[:]); err != nil {
-		return false, fmt.Errorf("trace: vlt2 block %d crc: %w", r.blocks, err)
-	}
-	h.crc = binary.LittleEndian.Uint32(crc[:])
-	if err := h.validate(); err != nil {
-		return false, fmt.Errorf("trace: vlt2 block %d: %w", r.blocks, err)
-	}
-	return true, nil
-}
-
-// loadBlock fetches, verifies and stages the next data block for decoding.
-// It returns false at the footer.
-func (r *Reader2) loadBlock() (bool, error) {
-	more, err := r.readBlockHeader()
-	if err != nil || !more {
-		return false, err
-	}
-	h := &r.hdrTmp
-	r.fetch.encBuf = grow(r.fetch.encBuf, int(h.encLen))
-	if _, err := io.ReadFull(r.br, r.fetch.encBuf); err != nil {
-		return false, fmt.Errorf("trace: vlt2 block %d payload: %w", r.blocks, err)
-	}
-	raw, err := r.fetch.decompress(h, r.fetch.encBuf)
-	if err != nil {
-		return false, fmt.Errorf("trace: vlt2 block %d: %w", r.blocks, err)
-	}
-	r.dec.reset(raw, h)
-	r.blocks++
-	r.bytes += blockWireSize(h)
-	r.m.blocks.Inc()
-	r.m.rawBytes.Add(int64(h.rawLen))
-	r.m.encBytes.Add(int64(h.encLen))
-	return true, nil
-}
-
-// blockWireSize is a block's on-wire size: header plus payload.
-func blockWireSize(h *blockHdr2) uint64 {
-	return uint64(2+4+uvarintLen(h.count)+uvarintLen(h.rawLen)+uvarintLen(h.encLen)+
-		uvarintLen(h.firstPC)+uvarintLen(h.firstAddr)) + h.encLen
-}
-
-// footerUvarint reads one uvarint of the footer, folding its raw bytes into
-// the running footer CRC.
-func (r *Reader2) footerUvarint(crc *uint32) (uint64, error) {
-	var scratch [binary.MaxVarintLen64]byte
-	n := 0
-	for {
-		b, err := r.br.ReadByte()
-		if err != nil {
-			return 0, err
-		}
-		scratch[n] = b
-		n++
-		if b < 0x80 {
-			break
-		}
-		if n == len(scratch) {
-			return 0, fmt.Errorf("%w: footer varint overflow", ErrCorrupt)
-		}
-	}
-	*crc = crc32.Update(*crc, castagnoli, scratch[:n])
-	v, k := binary.Uvarint(scratch[:n])
-	if k <= 0 {
-		return 0, fmt.Errorf("%w: footer varint overflow", ErrCorrupt)
-	}
-	return v, nil
-}
-
-// checkFooter parses the footer (after its kind byte) and the trailer,
-// verifying the footer CRC and cross-checking the index against the blocks
-// the reader actually decoded: the declared block count, entry contiguity
-// from the first block's offset, per-entry record counts, the record total,
-// and the trailer's footer offset must all agree with the decoded stream.
-func (r *Reader2) checkFooter() error {
-	crc := crc32.Update(0, castagnoli, []byte{blockKindFooter})
-	nblocks, err := r.footerUvarint(&crc)
-	if err != nil {
-		return fmt.Errorf("trace: vlt2 footer: %w", err)
-	}
-	if nblocks != r.blocks {
-		return fmt.Errorf("%w: footer declares %d blocks, decoded %d", ErrCorrupt, nblocks, r.blocks)
-	}
-	next := r.hdrLen
-	var counted uint64
-	for i := uint64(0); i < nblocks; i++ {
-		off, err := r.footerUvarint(&crc)
-		if err != nil {
-			return fmt.Errorf("trace: vlt2 footer entry %d: %w", i, err)
-		}
-		size, err := r.footerUvarint(&crc)
-		if err != nil {
-			return fmt.Errorf("trace: vlt2 footer entry %d: %w", i, err)
-		}
-		count, err := r.footerUvarint(&crc)
-		if err != nil {
-			return fmt.Errorf("trace: vlt2 footer entry %d: %w", i, err)
-		}
-		if off != next {
-			return fmt.Errorf("%w: footer entry %d offset %d overlaps or skips (want %d)", ErrCorrupt, i, off, next)
-		}
-		if size == 0 || count == 0 {
-			return fmt.Errorf("%w: footer entry %d is empty", ErrCorrupt, i)
-		}
-		next = off + size
-		counted += count
-	}
-	footerOff := r.hdrLen + r.bytes
-	if next != footerOff {
-		return fmt.Errorf("%w: footer entries end at %d, footer starts at %d", ErrCorrupt, next, footerOff)
-	}
-	total, err := r.footerUvarint(&crc)
-	if err != nil {
-		return fmt.Errorf("trace: vlt2 footer total: %w", err)
-	}
-	if total != r.read || counted != r.read {
-		return fmt.Errorf("%w: footer declares %d records (entries sum %d), decoded %d", ErrCorrupt, total, counted, r.read)
-	}
-	r.total = total
-	var tail [4 + trailerLen2]byte
-	if _, err := io.ReadFull(r.br, tail[:]); err != nil {
-		return fmt.Errorf("trace: vlt2 trailer: %w", err)
-	}
-	if binary.LittleEndian.Uint32(tail[:4]) != crc {
-		return fmt.Errorf("trace: vlt2 footer: %w", ErrChecksum)
-	}
-	if got := binary.LittleEndian.Uint64(tail[4:12]); got != footerOff {
-		return fmt.Errorf("%w: trailer footer offset %d, want %d", ErrCorrupt, got, footerOff)
-	}
-	if string(tail[12:]) != trailerMagic2 {
-		return fmt.Errorf("%w: bad trailer magic", ErrCorrupt)
-	}
-	return nil
-}
-
-// Next decodes the next record into the reader's internal record and
-// returns it; io.EOF after the final record. The pointer is invalidated by
-// the following Next or NextBatch call.
-func (r *Reader2) Next() (*Record, error) {
-	var one [1]Record
-	n, err := r.NextBatch(one[:])
-	if n == 0 {
-		if err == nil {
-			err = io.EOF
-		}
-		return nil, err
-	}
-	r.rec = one[0]
-	return &r.rec, err
-}
-
-// NextBatch decodes up to len(buf) records: the batched form of Next, and
-// the fast path — records decode straight from the staged block payload
-// into buf.
-func (r *Reader2) NextBatch(buf []Record) (int, error) {
-	if r.err != nil {
-		return 0, r.err
-	}
-	n := 0
-	for n < len(buf) {
-		if r.dec.remaining() == 0 {
-			if r.done {
-				break
-			}
-			more, err := r.loadBlock()
-			if err != nil {
-				r.err = err
-				if n > 0 {
-					return n, nil
-				}
-				return 0, err
-			}
-			if !more {
-				break
-			}
-		}
-		k, err := r.dec.decodeInto(buf[n:])
-		n += k
-		r.read += uint64(k)
-		r.m.records.Add(int64(k))
-		if err != nil {
-			r.err = fmt.Errorf("trace: vlt2 block %d: %w", r.blocks-1, err)
-			if n > 0 {
-				return n, nil
-			}
-			return 0, r.err
-		}
-	}
-	if n == 0 {
-		return 0, io.EOF
-	}
-	return n, nil
 }

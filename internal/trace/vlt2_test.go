@@ -110,14 +110,17 @@ func TestVLT2RoundTrip(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			want := &Trace{Name: "rt", Target: "ppc", Records: genRecords(tc.n, 42)}
 			enc := encode2(t, want, tc.opts)
-			r2, err := NewReader2(bytes.NewReader(enc))
+			ir, err := NewIndexedReaderBytes(enc)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if r2.Name() != want.Name || r2.Target() != want.Target {
-				t.Fatalf("header %q/%q, want %q/%q", r2.Name(), r2.Target(), want.Name, want.Target)
+			if ir.Name() != want.Name || ir.Target() != want.Target {
+				t.Fatalf("header %q/%q, want %q/%q", ir.Name(), ir.Target(), want.Name, want.Target)
 			}
-			got := drain(t, r2)
+			if ir.Count() != uint64(tc.n) {
+				t.Fatalf("Count before decode = %d, want %d", ir.Count(), tc.n)
+			}
+			got := drain(t, ir)
 			if len(got) != len(want.Records) {
 				t.Fatalf("decoded %d records, want %d", len(got), len(want.Records))
 			}
@@ -126,8 +129,8 @@ func TestVLT2RoundTrip(t *testing.T) {
 					t.Fatalf("record %d drift:\n got %+v\nwant %+v", i, got[i], want.Records[i])
 				}
 			}
-			if r2.Count() != uint64(tc.n) {
-				t.Fatalf("Count after drain = %d, want %d", r2.Count(), tc.n)
+			if ir.Decoded() != uint64(tc.n) {
+				t.Fatalf("Decoded after drain = %d, want %d", ir.Decoded(), tc.n)
 			}
 		})
 	}
@@ -138,13 +141,13 @@ func TestVLT2RoundTrip(t *testing.T) {
 func TestVLT2NextMatchesNextBatch(t *testing.T) {
 	tr := &Trace{Name: "nm", Target: "axp", Records: genRecords(3000, 7)}
 	enc := encode2(t, tr, Writer2Options{BlockRecords: 512})
-	r2, err := NewReader2(bytes.NewReader(enc))
+	ir, err := NewIndexedReaderBytes(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var got []Record
 	for {
-		r, err := r2.Next()
+		r, err := ir.Next()
 		if err == io.EOF {
 			break
 		}
@@ -159,27 +162,18 @@ func TestVLT2NextMatchesNextBatch(t *testing.T) {
 }
 
 // TestVLT2FlateShrinks pins the size story: a flate-compressed encoding of
-// a realistic trace must be smaller than both its raw VLT2 and its VLT1
-// encoding.
+// a realistic trace must be smaller than its raw encoding.
 func TestVLT2FlateShrinks(t *testing.T) {
 	tr := &Trace{Name: "sz", Target: "ppc", Records: genRecords(50000, 3)}
-	var v1 bytes.Buffer
-	if err := Write(&v1, tr); err != nil {
-		t.Fatal(err)
-	}
 	raw := encode2(t, tr, Writer2Options{})
 	fl := encode2(t, tr, Writer2Options{Codec: CodecFlate})
 	if len(fl) >= len(raw) {
 		t.Fatalf("flate encoding %d B not smaller than raw %d B", len(fl), len(raw))
 	}
-	if len(fl) >= v1.Len() {
-		t.Fatalf("flate encoding %d B not smaller than VLT1 %d B", len(fl), v1.Len())
-	}
-	t.Logf("sizes: vlt1=%d vlt2/raw=%d vlt2/flate=%d (%.1f%% of vlt1)",
-		v1.Len(), len(raw), len(fl), 100*float64(len(fl))/float64(v1.Len()))
+	t.Logf("sizes: raw=%d flate=%d (%.1f%% of raw)", len(raw), len(fl), 100*float64(len(fl))/float64(len(raw)))
 }
 
-// --- benchmarks: VLT2 decode vs the VLT1 baseline on identical records ---
+// --- benchmarks ---
 
 func benchTraceV2(b *testing.B, n int) *Trace {
 	b.Helper()
@@ -197,38 +191,12 @@ func BenchmarkVLT2DecodeBatch(b *testing.B) {
 	b.SetBytes(int64(len(enc)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r2, err := NewReader2(bytes.NewReader(enc))
+		ir, err := NewIndexedReaderBytes(enc)
 		if err != nil {
 			b.Fatal(err)
 		}
 		for {
-			if _, err := r2.NextBatch(out); err == io.EOF {
-				break
-			} else if err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(tr.Records)), "ns/rec")
-}
-
-func BenchmarkVLT1DecodeBatch(b *testing.B) {
-	tr := benchTraceV2(b, 1<<17)
-	var buf bytes.Buffer
-	if err := Write(&buf, tr); err != nil {
-		b.Fatal(err)
-	}
-	enc := buf.Bytes()
-	out := make([]Record, 256)
-	b.SetBytes(int64(len(enc)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r, err := NewReader(bytes.NewReader(enc))
-		if err != nil {
-			b.Fatal(err)
-		}
-		for {
-			if _, err := r.NextBatch(out); err == io.EOF {
+			if _, err := ir.NextBatch(out); err == io.EOF {
 				break
 			} else if err != nil {
 				b.Fatal(err)
