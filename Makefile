@@ -47,11 +47,15 @@ race-full:
 
 # Short fuzz sessions over the input surfaces: the VLT2 trace reader (never
 # panics; accepted input round-trips under both codecs and odd block
-# sizes), and the lvpd job-spec decoder (decode → validate → cells never
-# panics; accepted specs stay in bounds and round-trip to the same cells).
+# sizes), the lvpd job-spec decoder (decode → validate → cells never
+# panics; accepted specs stay in bounds and round-trip to the same cells),
+# and the two-level predictor's Lookup/Update contract against its map-based
+# reference. A 3 s minimize budget keeps each session fuzzing: Go's 60 s
+# default would spend a 30 s session minimizing its first new input.
 fuzz:
-	$(GO) test -fuzz='FuzzVLT2RoundTrip$$' -fuzztime=30s ./internal/trace/
-	$(GO) test -fuzz='FuzzJobSpec$$' -fuzztime=30s ./internal/serve/
+	$(GO) test -fuzz='FuzzVLT2RoundTrip$$' -fuzztime=30s -fuzzminimizetime=3s ./internal/trace/
+	$(GO) test -fuzz='FuzzJobSpec$$' -fuzztime=30s -fuzzminimizetime=3s ./internal/serve/
+	$(GO) test -fuzz='FuzzTwoLevelDifferential$$' -fuzztime=30s -fuzzminimizetime=3s ./internal/lvp/
 
 # Experiment-engine benchmarks: compare ExpAllSerial vs ExpAllParallel for
 # the worker-pool speedup.

@@ -183,10 +183,10 @@ func BenchmarkAblationLVPTSweep(b *testing.B) {
 	}
 }
 
-func BenchmarkAblationPredictors(b *testing.B) {
+func BenchmarkAblationZoo(b *testing.B) {
 	for b.Loop() {
 		s := exp.NewSuite(1)
-		if _, err := s.PredictorStudy(); err != nil {
+		if _, err := s.ZooSweep([]string{"last-value", "two-value", "stride", "context-2"}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -4,7 +4,8 @@
 //
 // The example builds a hybrid predictor that arbitrates between a last-value
 // and a stride component with per-entry confidence counters, then compares
-// it against the built-in predictors across the whole suite.
+// its coverage (loads predicted exactly, scored by lvp.MeasureZoo) against
+// the built-in predictors across the whole suite.
 package main
 
 import (
@@ -39,17 +40,17 @@ func (h *hybrid) Name() string { return "hybrid" }
 
 func (h *hybrid) idx(pc uint64) int { return int((pc / 4) & h.mask) }
 
-func (h *hybrid) Predict(pc uint64) uint64 {
+func (h *hybrid) Lookup(pc uint64) (uint64, bool) {
 	if h.chooser[h.idx(pc)] > 0 {
-		return h.stride.Predict(pc)
+		return h.stride.Lookup(pc)
 	}
-	return h.last.Predict(pc)
+	return h.last.Lookup(pc)
 }
 
 func (h *hybrid) Update(pc, actual uint64) {
 	i := h.idx(pc)
-	lv := h.last.Predict(pc) == actual
-	st := h.stride.Predict(pc) == actual
+	lv := right(h.last, pc, actual)
+	st := right(h.stride, pc, actual)
 	switch {
 	case st && !lv && h.chooser[i] < 2:
 		h.chooser[i]++
@@ -58,6 +59,13 @@ func (h *hybrid) Update(pc, actual uint64) {
 	}
 	h.last.Update(pc, actual)
 	h.stride.Update(pc, actual)
+}
+
+// right reports whether p predicts actual for pc; a component that declines
+// counts as a miss.
+func right(p lvp.Predictor, pc, actual uint64) bool {
+	v, ok := p.Lookup(pc)
+	return ok && v == actual
 }
 
 func main() {
@@ -69,10 +77,10 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Fprintf(w, "%s\t%.1f%%\t%.1f%%\t%.1f%%\t%.1f%%\n", b.Name,
-			100*lvp.MeasurePredictor(tr, lvp.NewLastValue(1024)),
-			100*lvp.MeasurePredictor(tr, lvp.NewStride(1024)),
-			100*lvp.MeasurePredictor(tr, lvp.NewContext(1024, 4096)),
-			100*lvp.MeasurePredictor(tr, newHybrid(1024)))
+			100*lvp.MeasureZoo(tr, lvp.NewLastValue(1024)).Coverage(),
+			100*lvp.MeasureZoo(tr, lvp.NewStride(1024)).Coverage(),
+			100*lvp.MeasureZoo(tr, lvp.NewContext(1024, 4096)).Coverage(),
+			100*lvp.MeasureZoo(tr, newHybrid(1024)).Coverage())
 	}
 	w.Flush()
 }

@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"lvp/internal/bench"
-	"lvp/internal/locality"
 	"lvp/internal/lvp"
 	"lvp/internal/prog"
 	"lvp/internal/report"
@@ -14,7 +13,8 @@ import (
 
 // The ablation studies below are not paper figures; they exercise the
 // design-space directions the paper's §7 calls out (table sizing,
-// classification, and predictors beyond last-value).
+// classification and the CVU; predictors beyond last-value are the zoo's,
+// zoo.go).
 
 // LVPTSweepResult holds prediction coverage (fraction of loads predicted
 // correctly, Simple-style unit) as the LVPT size grows.
@@ -158,79 +158,5 @@ func (r *CVUSweepResult) Render(w io.Writer) {
 	for i, sz := range r.Sizes {
 		t.AddRow(sz, stats.Pct(r.ConstRate[i], 1))
 	}
-	t.Render(w)
-}
-
-// PredictorRow compares predictor accuracies for one benchmark (paper §7:
-// stride detection, context prediction and multi-value tables as future
-// work).
-type PredictorRow struct {
-	Name      string
-	LastValue float64
-	TwoValue  float64 // buildable depth-2 with a trained selector
-	Stride    float64
-	Context   float64
-	Locality1 float64 // depth-1 value locality (upper bound for last-value)
-}
-
-// PredictorResult is the predictor-comparison dataset.
-type PredictorResult struct {
-	Rows []PredictorRow
-	GM   [5]float64
-}
-
-// PredictorStudy measures last-value vs stride vs order-2 context
-// prediction accuracy over the suite (PPC target, 1K-entry tables).
-func (s *Suite) PredictorStudy() (*PredictorResult, error) {
-	res := &PredictorResult{Rows: make([]PredictorRow, len(bench.All()))}
-	err := s.forEachBenchIdx(func(i int, b bench.Benchmark) error {
-		t, err := s.Trace(b.Name, prog.PPC)
-		if err != nil {
-			return err
-		}
-		lv := lvp.MeasureAccuracy(t, lvp.NewLastValue(1024))
-		tv := lvp.MeasureAccuracy(t, lvp.NewTwoValue(1024))
-		st := lvp.MeasureAccuracy(t, lvp.NewStride(1024))
-		cx := lvp.MeasureAccuracy(t, lvp.NewContext(1024, 4096))
-		loc := locality.Measure(t, 1024, 1)
-		res.Rows[i] = PredictorRow{
-			Name:      b.Name,
-			LastValue: lv.Percent(),
-			TwoValue:  tv.Percent(),
-			Stride:    st.Percent(),
-			Context:   cx.Percent(),
-			Locality1: loc[0].Overall.Percent(),
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	var a, tv, bb, c, d []float64
-	for _, r := range res.Rows {
-		a = append(a, r.LastValue)
-		tv = append(tv, r.TwoValue)
-		bb = append(bb, r.Stride)
-		c = append(c, r.Context)
-		d = append(d, r.Locality1)
-	}
-	// Arithmetic means: tomcatv's legitimate 0% would zero a GM.
-	res.GM = [5]float64{stats.Mean(a), stats.Mean(tv), stats.Mean(bb),
-		stats.Mean(c), stats.Mean(d)}
-	return res, nil
-}
-
-// Render writes the comparison.
-func (r *PredictorResult) Render(w io.Writer) {
-	t := report.Table{
-		Title:   "Extension study (paper §7): predictor accuracy (% of loads predicted exactly, PPC)",
-		Columns: []string{"Benchmark", "Last-value", "Two-value", "Stride", "Context-2", "d1 locality"},
-	}
-	f := func(v float64) string { return fmt.Sprintf("%.1f%%", v) }
-	for _, row := range r.Rows {
-		t.AddRow(row.Name, f(row.LastValue), f(row.TwoValue), f(row.Stride),
-			f(row.Context), f(row.Locality1))
-	}
-	t.AddRow("Mean", f(r.GM[0]), f(r.GM[1]), f(r.GM[2]), f(r.GM[3]), f(r.GM[4]))
 	t.Render(w)
 }

@@ -265,26 +265,6 @@ func TestAblations(t *testing.T) {
 	}
 }
 
-func TestPredictorStudy(t *testing.T) {
-	r, err := testSuite.PredictorStudy()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Rows) != len(bench.All()) {
-		t.Fatalf("rows = %d", len(r.Rows))
-	}
-	for _, row := range r.Rows {
-		// Depth-1 locality approximately upper-bounds last-value
-		// accuracy (same table geometry and replacement; the predictor
-		// can additionally hit zero-valued loads on cold zero-filled
-		// entries, hence the small tolerance).
-		if row.LastValue > row.Locality1+1.0 {
-			t.Errorf("%s: last-value %.1f%% exceeds its locality bound %.1f%%",
-				row.Name, row.LastValue, row.Locality1)
-		}
-	}
-}
-
 func TestSuiteCaching(t *testing.T) {
 	s := NewSuite(1)
 	t1, err := s.Trace("quick", prog.AXP)
@@ -511,10 +491,6 @@ func TestAllRendersProduceOutput(t *testing.T) {
 			t.Error("resources render empty")
 		}
 		buf.Reset()
-	}
-	if r, err := testSuite.PredictorStudy(); err == nil {
-		r.Render(&buf)
-		check("predictors")
 	}
 	// Figure 7/8 and the sweeps have no per-benchmark rows; just render.
 	if r, err := testSuite.Figure7(); err == nil {

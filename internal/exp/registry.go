@@ -60,8 +60,6 @@ var experiments = []Experiment{
 		render(func(s *Suite) (*LCTBitsResult, error) { return s.LCTBitsSweep(nil) })},
 	{"cvusweep", "ablation: CVU capacity", false,
 		render(func(s *Suite) (*CVUSweepResult, error) { return s.CVUSweep(nil) })},
-	{"predictors", "extension: stride/context predictors (paper §7)", false,
-		render(func(s *Suite) (*PredictorResult, error) { return s.PredictorStudy() })},
 	{"zoosweep", "ablation: predictor-family zoo × workload sweep", false,
 		render(func(s *Suite) (*ZooResult, error) { return s.ZooSweep(nil) })},
 	{"gvl", "extension: general value locality, all results (paper §7)", false,

@@ -8,7 +8,10 @@ import (
 	"sync"
 	"testing"
 
+	"lvp/internal/bench"
+	"lvp/internal/locality"
 	"lvp/internal/lvp"
+	"lvp/internal/prog"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata golden files from current output")
@@ -138,5 +141,24 @@ func TestZooFamilySelection(t *testing.T) {
 	}
 	if got, want := len(res.Families), len(lvp.FamilyNames()); got != want {
 		t.Fatalf("default selection has %d families, registry %d", got, want)
+	}
+}
+
+// TestZooLastValueMatchesFigure1 pins the zoo's one scoring rule against the
+// paper's own measure: the 1K-entry last-value predictor scored by MeasureZoo
+// (cold entries decline) hits exactly the loads Figure 1's depth-1 value
+// locality counts, on every PPC workload.
+func TestZooLastValueMatchesFigure1(t *testing.T) {
+	for _, b := range bench.All() {
+		tr, err := testSuite.Trace(b.Name, prog.PPC)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := lvp.MeasureZoo(tr, lvp.NewLastValue(locality.DefaultEntries))
+		d1 := locality.Measure(tr, locality.DefaultEntries, 1)[0].Overall
+		if m.Hits != int64(d1.Hits) || m.Loads != int64(d1.Total) {
+			t.Errorf("%s: zoo last-value %d/%d, Figure 1 d1 %d/%d",
+				b.Name, m.Hits, m.Loads, d1.Hits, d1.Total)
+		}
 	}
 }

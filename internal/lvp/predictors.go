@@ -1,51 +1,29 @@
 package lvp
 
-import (
-	"lvp/internal/isa"
-	"lvp/internal/locality"
-	"lvp/internal/trace"
-)
+import "lvp/internal/isa"
 
-// Predictor is the interface for the value predictors the paper's §7
-// ("future work") sketches beyond the last-value LVPT: stride detection and
-// context-based prediction. They plug into MeasureAccuracy and the
-// custompredictor example.
+// Predictor is the one contract every value predictor speaks: the built-in
+// families of the paper's §7 ("future work": stride detection, context-based
+// prediction, multiple values per load) and user-defined ones alike.
+// MeasureZoo is its one scorer. A predictor may decline to predict — a cold
+// entry, a tag miss, confidence below threshold — and a declined load counts
+// against coverage but not accuracy, as in a hardware unit that gates a
+// prediction on an entry's valid bit.
 type Predictor interface {
 	// Name identifies the predictor in reports.
 	Name() string
-	// Predict returns the predicted value for the load at pc.
-	Predict(pc uint64) uint64
+	// Lookup returns the prediction for the load at pc and whether the
+	// predictor speaks.
+	Lookup(pc uint64) (value uint64, ok bool)
 	// Update trains the predictor with the actual loaded value.
 	Update(pc, actual uint64)
 }
 
-// LastValue is the baseline history-depth-1 LVPT as a Predictor.
-type LastValue struct {
-	t *LVPT
+// NewLastValue returns the baseline history-depth-1 LVPT (paper §3.1) as a
+// last-value Predictor with the given table size; cold entries decline.
+func NewLastValue(entries int) *TableValue {
+	return NewTableValue("last-value", NewLVPT(entries, 1))
 }
-
-// NewLastValue returns a last-value predictor with the given table size.
-func NewLastValue(entries int) *LastValue {
-	return &LastValue{t: NewLVPT(entries, 1)}
-}
-
-// Name implements Predictor.
-func (p *LastValue) Name() string { return "last-value" }
-
-// Lookup implements ConfidencePredictor: cold entries decline.
-func (p *LastValue) Lookup(pc uint64) (uint64, bool) { return p.t.Predict(pc) }
-
-// Predict implements Predictor.
-func (p *LastValue) Predict(pc uint64) uint64 {
-	v, _ := p.t.Predict(pc)
-	return v
-}
-
-// Update implements Predictor.
-func (p *LastValue) Update(pc, actual uint64) { p.t.Update(pc, actual) }
-
-// TableStats implements TableStatser.
-func (p *LastValue) TableStats() LVPTStats { return p.t.Stats() }
 
 // TableValue adapts any ValueTable organisation (untagged, tagged or
 // set-associative) into a last-value Predictor, so the zoo can ablate table
@@ -63,14 +41,8 @@ func NewTableValue(name string, t ValueTable) *TableValue {
 // Name implements Predictor.
 func (p *TableValue) Name() string { return p.name }
 
-// Lookup implements ConfidencePredictor: tag misses and cold sets decline.
+// Lookup implements Predictor: tag misses and cold sets decline.
 func (p *TableValue) Lookup(pc uint64) (uint64, bool) { return p.t.Predict(pc) }
-
-// Predict implements Predictor.
-func (p *TableValue) Predict(pc uint64) uint64 {
-	v, _ := p.t.Predict(pc)
-	return v
-}
 
 // Update implements Predictor.
 func (p *TableValue) Update(pc, actual uint64) { p.t.Update(pc, actual) }
@@ -112,22 +84,13 @@ func (p *Stride) Name() string { return "stride" }
 
 func (p *Stride) index(pc uint64) int { return int((pc / isa.InstBytes) & p.mask) }
 
-// Lookup implements ConfidencePredictor: cold entries decline.
+// Lookup implements Predictor: cold entries decline.
 func (p *Stride) Lookup(pc uint64) (uint64, bool) {
 	i := p.index(pc)
 	if !p.valid[i] {
 		return 0, false
 	}
 	return p.last[i] + p.stride[i], true
-}
-
-// Predict implements Predictor.
-func (p *Stride) Predict(pc uint64) uint64 {
-	i := p.index(pc)
-	if !p.valid[i] {
-		return 0
-	}
-	return p.last[i] + p.stride[i]
 }
 
 // Update implements Predictor.
@@ -191,22 +154,13 @@ func (p *Context) slot(pc uint64) int {
 	return int(h & p.pmask)
 }
 
-// Lookup implements ConfidencePredictor: untrained pattern slots decline.
+// Lookup implements Predictor: untrained pattern slots decline.
 func (p *Context) Lookup(pc uint64) (uint64, bool) {
 	s := p.slot(pc)
 	if !p.pvalid[s] {
 		return 0, false
 	}
 	return p.pattern[s], true
-}
-
-// Predict implements Predictor.
-func (p *Context) Predict(pc uint64) uint64 {
-	s := p.slot(pc)
-	if !p.pvalid[s] {
-		return 0
-	}
-	return p.pattern[s]
 }
 
 // Update implements Predictor.
@@ -217,24 +171,6 @@ func (p *Context) Update(pc, actual uint64) {
 	i := p.index(pc)
 	p.last2[i] = p.last1[i]
 	p.last1[i] = actual
-}
-
-// MeasureAccuracy runs a predictor over every load in the trace and reports
-// the fraction predicted exactly.
-func MeasureAccuracy(t *trace.Trace, p Predictor) locality.Ratio {
-	var r locality.Ratio
-	for i := range t.Records {
-		rec := &t.Records[i]
-		if !rec.IsLoad() {
-			continue
-		}
-		r.Total++
-		if p.Predict(rec.PC) == rec.Value {
-			r.Hits++
-		}
-		p.Update(rec.PC, rec.Value)
-	}
-	return r
 }
 
 // TwoValue is a buildable depth-2 value predictor: each entry holds two
@@ -268,13 +204,14 @@ func (p *TwoValue) Name() string { return "two-value" }
 
 func (p *TwoValue) index(pc uint64) int { return int((pc / isa.InstBytes) & p.mask) }
 
-// Predict implements Predictor.
-func (p *TwoValue) Predict(pc uint64) uint64 {
+// Lookup implements Predictor. TwoValue keeps no valid bits, so it always
+// speaks: a cold entry predicts zero.
+func (p *TwoValue) Lookup(pc uint64) (uint64, bool) {
 	i := p.index(pc)
 	if p.sel[i] >= 2 {
-		return p.v1[i]
+		return p.v1[i], true
 	}
-	return p.v0[i]
+	return p.v0[i], true
 }
 
 // Update implements Predictor.

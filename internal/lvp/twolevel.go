@@ -159,12 +159,6 @@ func (p *TwoLevel) Lookup(pc uint64) (value uint64, ok bool) {
 	return p.vals[s], true
 }
 
-// Predict implements Predictor: Lookup's value, zero when it declines.
-func (p *TwoLevel) Predict(pc uint64) uint64 {
-	v, _ := p.Lookup(pc)
-	return v
-}
-
 // Update trains the predictor: the VPT slot selected by the pre-update
 // history learns the actual value (confidence up on confirmation, down on
 // mismatch, value replaced once confidence is exhausted), then the actual

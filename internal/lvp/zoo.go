@@ -12,18 +12,6 @@ import (
 	"lvp/internal/trace"
 )
 
-// ConfidencePredictor is a Predictor that can decline to predict — a cold
-// table entry, a tag miss, or confidence below threshold. The zoo's
-// measurement pass uses it to separate coverage (hits over all loads) from
-// accuracy (hits over the loads the predictor actually spoke on), which is
-// the pair a real pipeline cares about: mispredictions cost cycles,
-// declined predictions don't.
-type ConfidencePredictor interface {
-	Predictor
-	// Lookup returns the prediction and whether the predictor speaks.
-	Lookup(pc uint64) (value uint64, ok bool)
-}
-
 // TableStatser exposes the LVPT-style event counters of a table-backed
 // predictor, so sweeps can surface interference (tag misses, alias
 // evictions) alongside accuracy.
@@ -166,10 +154,10 @@ func ExtractLoads(t *trace.Trace) LoadSlab {
 	return s
 }
 
-// MeasureZoo runs a predictor over every load in the trace. Predictors
-// implementing ConfidencePredictor are measured through Lookup, so declined
-// predictions count against coverage but not accuracy; plain Predictors are
-// treated as always speaking (MeasureAccuracy's regime).
+// MeasureZoo runs a predictor over every load in the trace and scores it by
+// the one rule every predictor shares: each load asks Lookup, a spoken
+// prediction is an attempt, an exact one a hit, and a declined load counts
+// against coverage but not accuracy.
 func MeasureZoo(t *trace.Trace, p Predictor) ZooMeasure {
 	return MeasureZooLoads(ExtractLoads(t), p)
 }
@@ -179,20 +167,12 @@ func MeasureZoo(t *trace.Trace, p Predictor) ZooMeasure {
 // in a sweep.
 func MeasureZooLoads(loads LoadSlab, p Predictor) ZooMeasure {
 	var m ZooMeasure
-	cp, hasConf := p.(ConfidencePredictor)
 	m.Loads = int64(loads.Len())
 	for i, pc := range loads.PCs {
 		value := loads.Values[i]
-		if hasConf {
-			if v, ok := cp.Lookup(pc); ok {
-				m.Attempts++
-				if v == value {
-					m.Hits++
-				}
-			}
-		} else {
+		if v, ok := p.Lookup(pc); ok {
 			m.Attempts++
-			if p.Predict(pc) == value {
+			if v == value {
 				m.Hits++
 			}
 		}

@@ -89,12 +89,25 @@ func TestFacadePredictors(t *testing.T) {
 	for _, p := range []lvp.Predictor{
 		lvp.NewLastValue(1024), lvp.NewStride(1024), lvp.NewContext(1024, 4096),
 	} {
-		acc := lvp.MeasurePredictor(tr, p)
-		if acc < 0 || acc > 1 {
-			t.Errorf("%s accuracy out of range: %v", p.Name(), acc)
+		m := lvp.MeasureZoo(tr, p)
+		if m.Coverage() <= 0 || m.Coverage() > m.Accuracy() || m.Accuracy() > 1 {
+			t.Errorf("%s coverage %v / accuracy %v out of order", p.Name(), m.Coverage(), m.Accuracy())
 		}
 	}
+	// A user-defined predictor that always declines is scored by the same
+	// rule: no attempts, no coverage.
+	m := lvp.MeasureZoo(tr, silent{})
+	if m.Loads == 0 || m.Attempts != 0 || m.Coverage() != 0 {
+		t.Errorf("declining predictor: %+v, coverage %v", m, m.Coverage())
+	}
 }
+
+// silent is a Predictor that never speaks.
+type silent struct{}
+
+func (silent) Name() string                 { return "silent" }
+func (silent) Lookup(uint64) (uint64, bool) { return 0, false }
+func (silent) Update(uint64, uint64)        {}
 
 func TestFacade21164(t *testing.T) {
 	tr, err := lvp.BuildTrace("compress", lvp.AXP, 1)
@@ -168,8 +181,8 @@ func TestFacadeExtensions(t *testing.T) {
 	if plus.Cycles <= 0 || plus.Machine != "620+" {
 		t.Errorf("620+ facade: %+v", plus.Machine)
 	}
-	if acc := lvp.MeasurePredictor(tr, lvp.NewTwoValue(1024)); acc <= 0 {
-		t.Error("two-value accuracy zero")
+	if m := lvp.MeasureZoo(tr, lvp.NewTwoValue(1024)); m.Coverage() <= 0 {
+		t.Error("two-value coverage zero")
 	}
 	// Suite facade.
 	s := lvp.NewSuite(1)
